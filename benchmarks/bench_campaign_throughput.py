@@ -106,9 +106,9 @@ def test_bench_sharded_vs_serial_probe():
 
     Same universe, same seeds: by the differential-equivalence tests the
     two arms compute identical results, so the comparison is pure
-    execution cost.  The serial arm runs the single-shard inline path
-    (today's behaviour); the parallel arm runs four shards over four
-    worker processes.
+    execution cost.  The serial arm runs the single-worker inline path;
+    the parallel arm runs four worker processes pulling MTA units from
+    one work queue.
     """
     universe = generate_universe(DatasetSpec.notify_email(scale=PAR_SCALE), seed=SEED + 20)
     timings = {}
@@ -118,7 +118,6 @@ def test_bench_sharded_vs_serial_probe():
         merged = run_probe_sharded(
             universe,
             "bench",
-            shards=workers,
             workers=workers,
             testbed_seed=SEED + 21,
             campaign_seed=SEED,

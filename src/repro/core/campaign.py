@@ -16,9 +16,10 @@ log; analyses never look inside the MTAs.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
-from typing import Collection, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.datasets import Domain, MtaHost, Universe, stable_hash64
 from repro.core.policies import POLICIES, policy_by_id
@@ -68,12 +69,22 @@ def apply_reputation_effects(
             host.behavior.blacklist_rejection = "blacklist"
 
 
+@functools.lru_cache(maxsize=None)
+def _seeded_keypair(seed: int) -> RsaKeyPair:
+    # Key generation dominates testbed set-up.  The key pair is frozen,
+    # so one per seed per process is enough, and forked workers inherit
+    # the coordinator's.
+    return generate_keypair(1024, seed=seed + 4242)
+
+
 def make_synth_config(seed: int) -> Tuple[RsaKeyPair, SynthConfig]:
     """The (keypair, synthesizing-server config) a :class:`Testbed` with
-    ``seed`` would build.  Exposed so the shard-merge layer
+    ``seed`` would build.  Exposed so the merge layer
     (:mod:`repro.core.parallel`) can attribute worker query logs without
-    standing up a coordinator-side testbed of its own."""
-    keypair = generate_keypair(1024, seed=seed + 4242)
+    standing up a coordinator-side testbed of its own.  The key pair is
+    memoised per seed; the config is mutable, so every call builds a
+    fresh one."""
+    keypair = _seeded_keypair(seed)
     config = SynthConfig(
         probe_ipv4=SENDER_IPV4,
         probe_ipv6=SENDER_IPV6,
@@ -84,15 +95,7 @@ def make_synth_config(seed: int) -> Tuple[RsaKeyPair, SynthConfig]:
 
 
 class Testbed:
-    """A fully wired simulated Internet for one universe.
-
-    ``mta_filter`` restricts which MTA hosts get a deployed
-    :class:`~repro.mta.receiver.ReceivingMta` — shard workers pass their
-    shard's mtaid set so a K-way parallel run does not pay K full fleet
-    deployments.  DNS (the synthesizing server and the universe zone) is
-    always deployed in full: zone data is cheap, stateless, and identical
-    in every shard.
-    """
+    """A fully wired simulated Internet for one universe."""
 
     __test__ = False  # not a pytest test class, despite the name
 
@@ -101,7 +104,6 @@ class Testbed:
         universe: Universe,
         seed: int = 0,
         obs: Optional[Observability] = None,
-        mta_filter: Optional[Collection[str]] = None,
         faults: Optional[FaultPlan] = None,
     ) -> None:
         self.universe = universe
@@ -121,7 +123,6 @@ class Testbed:
         self.synth = SynthesizingAuthority(self.synth_config, obs=self.obs, faults=faults)
         self.synth.deploy(self.network, self.directory)
         self.receivers: Dict[str, ReceivingMta] = {}
-        self._mta_filter = frozenset(mta_filter) if mta_filter is not None else None
         self._deploy_universe_dns()
         self._deploy_receivers()
 
@@ -157,8 +158,6 @@ class Testbed:
 
     def _deploy_receivers(self) -> None:
         for host in self.universe.mtas:
-            if self._mta_filter is not None and host.mtaid not in self._mta_filter:
-                continue
             receiver = ReceivingMta(
                 host.hostname,
                 self.network,
@@ -185,9 +184,9 @@ class Testbed:
 # A campaign is two separable things: a deterministic *schedule* (who is
 # contacted, when, in what order) and its *execution*.  Schedules are pure
 # functions of (universe, campaign parameters) — no testbed, no RNG state
-# left behind — so a shard worker can recompute the coordinator's schedule
-# bit-for-bit and execute just its own slice (repro.core.parallel), while
-# the serial path executes the whole thing.  Per-item start times are
+# left behind — so a worker process can execute any subset of the
+# coordinator's schedule, in any order (repro.core.parallel), while the
+# serial path executes the whole thing.  Per-item start times are
 # explicit: item i never inherits timing from item i-1.
 
 
@@ -325,12 +324,12 @@ class NotifyEmailCampaign:
     def run(
         self,
         domains: Optional[Sequence[Domain]] = None,
-        schedule: Optional[Sequence[NotifyTask]] = None,
+        schedule: Optional[Iterable[NotifyTask]] = None,
     ) -> NotifyEmailResult:
         """Execute ``schedule`` (default: the full schedule over
-        ``domains``).  Shard workers pass their slice of the coordinator's
-        schedule; start times ride along, so a task runs at the same
-        virtual instant whichever process executes it."""
+        ``domains``).  Workers pass the tasks they pull from the
+        coordinator's queue; start times ride along, so a task runs at the
+        same virtual instant whichever process executes it."""
         testbed = self.testbed
         tasks = schedule if schedule is not None else self.schedule(domains)
         deliveries: List[NotifyDelivery] = []
@@ -436,12 +435,12 @@ class ProbeCampaign:
     def run(
         self,
         limit_mtas: Optional[int] = None,
-        schedule: Optional[Sequence[ProbeTask]] = None,
+        schedule: Optional[Iterable[ProbeTask]] = None,
     ) -> ProbeCampaignResult:
         """Execute ``schedule`` (default: the full schedule, optionally
         limited to the first ``limit_mtas`` shuffled MTAs).  Each task
-        carries its own start time and per-policy order, so a shard
-        worker executing a slice reproduces the serial timing exactly."""
+        carries its own start time and per-policy order, so a worker
+        executing any subset reproduces the serial timing exactly."""
         tasks = schedule if schedule is not None else self.schedule(limit_mtas)
         results: List[ProbeResult] = []
         probed: Dict[str, MtaHost] = {}
@@ -465,7 +464,7 @@ class ProbeCampaign:
                 t_last = max(t_last, t)
             span.set(mtas=len(probed), probes=len(results))
             span.end(t_last)
-        obs.metrics.gauge("campaign_eligible_mtas", len(tasks), (("campaign", self.name),))
+        obs.metrics.gauge("campaign_eligible_mtas", len(probed), (("campaign", self.name),))
         return ProbeCampaignResult(
             name=self.name,
             results=results,

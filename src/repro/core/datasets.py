@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.asmap import AsMap
 from repro.mta.behavior import MtaBehavior
@@ -273,7 +273,7 @@ class Universe:
         return [mta.ipv6 for mta in self.mtas if mta.ipv6]
 
 
-# -- sharding -----------------------------------------------------------------
+# -- stable hashing -----------------------------------------------------------
 
 
 def stable_hash64(text: str) -> int:
@@ -281,88 +281,11 @@ def stable_hash64(text: str) -> int:
 
     Python's builtin ``hash()`` is salted per process (PYTHONHASHSEED), so
     anything that must agree between a campaign coordinator and its worker
-    processes — shard membership, derived RNG seeds — goes through this
+    processes — such as the per-MTA probe-order seeds — goes through this
     instead.
     """
     digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
-
-
-def shard_index(identifier: str, shards: int) -> int:
-    """Which of ``shards`` shards ``identifier`` belongs to.
-
-    A pure function of the identifier string: independent of generation
-    seed, list order, process, and platform.
-    """
-    if shards < 1:
-        raise ValueError("shards must be >= 1, got %d" % shards)
-    return stable_hash64(identifier) % shards
-
-
-@dataclass(frozen=True)
-class UniverseShard:
-    """One of K disjoint slices of a universe (see :mod:`repro.core.parallel`).
-
-    Two independent partitions are carried, one per campaign type:
-
-    ``mtaids``
-        Probe-campaign assignment, hashed on mtaid.  Probe state (the
-        receiver's resolver cache, greylist, SMTP sessions) is per-MTA, so
-        any mtaid partition keeps shards independent.
-    ``domainids``
-        Notify-campaign assignment, hashed on the domain's *provider* key.
-        Delivery state lives in the receiving MTA (resolver caches with
-        shared names such as the probe host's HELO identity, greylists),
-        and a provider's domains share its MTA pool — so domains are
-        sharded by delivery group, keeping every receiver's state local to
-        exactly one shard.  Domains of different providers never share an
-        MTA (pools are provider-private), which makes this partition exact.
-    ``notify_mtaids``
-        The MTA ids a notify shard must deploy receivers for: the pool of
-        every provider assigned to this shard.  Disjoint across shards
-        because the provider assignment is.
-    """
-
-    index: int
-    shards: int
-    domainids: FrozenSet[str]
-    mtaids: FrozenSet[str]
-    notify_mtaids: FrozenSet[str]
-
-
-def partition_universe(universe: Universe, shards: int) -> List[UniverseShard]:
-    """Split ``universe`` into ``shards`` disjoint :class:`UniverseShard`.
-
-    Membership is a pure function of stable identifiers (mtaid for probe
-    work, provider key for notify work — see :class:`UniverseShard`), so
-    the same universe partitions identically regardless of generation
-    seed, iteration order, or platform, and a (domain, MTA) lands in the
-    same shard for any fixed K.
-    """
-    if shards < 1:
-        raise ValueError("shards must be >= 1, got %d" % shards)
-    domainids: List[set] = [set() for _ in range(shards)]
-    mtaids: List[set] = [set() for _ in range(shards)]
-    notify_mtaids: List[set] = [set() for _ in range(shards)]
-    provider_shard: Dict[str, int] = {}
-    for provider_key, provider in universe.providers.items():
-        index = shard_index(provider_key, shards)
-        provider_shard[provider_key] = index
-        notify_mtaids[index].update(host.mtaid for host in provider.mtas)
-    for domain in universe.domains:
-        domainids[provider_shard[domain.provider_key]].add(domain.domainid)
-    for host in universe.mtas:
-        mtaids[shard_index(host.mtaid, shards)].add(host.mtaid)
-    return [
-        UniverseShard(
-            index=index,
-            shards=shards,
-            domainids=frozenset(domainids[index]),
-            mtaids=frozenset(mtaids[index]),
-            notify_mtaids=frozenset(notify_mtaids[index]),
-        )
-        for index in range(shards)
-    ]
 
 
 # -- generation ---------------------------------------------------------------

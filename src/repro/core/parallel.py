@@ -1,48 +1,57 @@
-"""Sharded parallel campaign execution with a deterministic merge.
+"""Parallel campaign execution over one work queue, with a deterministic merge.
 
 The virtual-time testbed makes the paper's campaigns embarrassingly
 parallel, the same way large active-measurement systems (ZMap-style
-scan-out) get their throughput: partition the target population, run each
-partition independently, reduce deterministically.  Three facts make the
-partition exact rather than approximate:
+scan-out) get their throughput: split the target population into
+independent units, run them anywhere, reduce deterministically.  Three
+facts make any assignment of units to workers exact:
 
 * **Virtual time.**  Every protocol API threads explicit timestamps, and
   a campaign schedule (:func:`~repro.core.campaign.notify_schedule` /
   :func:`~repro.core.campaign.probe_schedule`) assigns each task its
   start instant up front — task *i* never inherits timing from task
-  *i-1*, so executing a subset executes it at identical instants.
+  *i-1*, so executing a subset, in any order, executes it at identical
+  instants.
 * **Path-pure latency.**  :class:`~repro.net.latency.UniformLatency`
   derives each path's delay from ``(seed, path)`` alone, so every
-  shard's network times identical exchanges identically.
-* **Shard-local state.**  All mutable state lives in per-receiver
-  objects (resolver caches, greylists) or in per-delivery senders.
-  :func:`~repro.core.datasets.partition_universe` assigns probes by
-  mtaid and notify deliveries by provider pool, so each receiver's
-  entire workload lands in exactly one shard.
+  worker's network times identical exchanges identically.
+* **Receiver-disjoint units.**  All mutable state lives in per-receiver
+  objects (resolver caches, greylists) or in per-delivery senders.  A
+  probe unit is one MTA's :class:`~repro.core.campaign.ProbeTask`; a
+  notify unit is one provider's :class:`~repro.core.campaign.NotifyTask`
+  list in schedule order, because a provider's domains share its
+  (provider-private) MTA pool.  No two units touch the same receiver, so
+  a unit behaves the same whatever ran before it on the same testbed.
 
-Each worker process stands up a full :class:`~repro.core.campaign.
-Testbed` for the universe (receivers filtered to its shard), executes
-its slice of the coordinator's schedule, and ships back a picklable
-:class:`ShardResult`: campaign records, the raw synthesizing-server
-query log, a metrics snapshot, and span counts.  The merge layer
-(:func:`merge_shard_results`) reassembles outputs that are
-content-identical to a serial run — the same attributed-query multiset,
-the same analysis tables, the same tracecheck verdict — which
-``tests/test_core_parallel.py`` proves differentially for K ∈ {1, 2, 4}.
+Per-MTA probe cost varies by more than an order of magnitude (it tracks
+the MTA's DNS lookups), so a static split leaves workers idle behind the
+busiest one.  Instead each of W worker processes builds one full
+:class:`~repro.core.campaign.Testbed` and pulls units from a single
+queue, largest first, running them through the ordinary campaign loop;
+it ships back one picklable :class:`ShardResult` (records, raw query
+log, metrics, span count).  :func:`merge_shard_results` reassembles
+outputs content-identical to a serial run whichever worker ran which
+unit, as ``tests/test_core_parallel.py`` proves for W ∈ {1, 2, 3, 4}.
+``use_processes=False`` runs the same worker function in-process on a
+round-robin deal of the units.
 
-Workers are spawn-safe: the worker entry point is a module-level
-function and everything it receives or returns pickles cleanly, so the
-engine works under any ``multiprocessing`` start method.  Span *objects*
-stay in the worker (only counts travel); span/query-log reconciliation
-can still run, per shard, inside each worker (``reconcile=True``).
+The queue is a shared cursor over the job's unit list, set per process
+outside the :class:`ShardJob`: a multiprocessing lock crosses process
+boundaries only by inheritance, and a job must stay picklable.  A failed
+unit or a worker that dies without reporting raises :class:`ShardError`
+naming the worker slot (and the unit, when known); no worker outlives
+the call.  Span objects stay in the workers, which reconcile them
+against their own query logs on request (``reconcile=True``).
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import os
+import traceback
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.campaign import (
     NotifyDelivery,
@@ -57,7 +66,7 @@ from repro.core.campaign import (
     notify_schedule,
     probe_schedule,
 )
-from repro.core.datasets import MtaHost, Universe, UniverseShard, partition_universe
+from repro.core.datasets import MtaHost, Universe
 from repro.core.policies import POLICIES, policy_by_id
 from repro.core.preflight import preflight_policies
 from repro.core.probe import ProbeResult
@@ -71,37 +80,77 @@ from repro.obs.metrics import MetricsRegistry
 _NOTIFY_CAMPAIGN = "notify"
 _PROBE_CAMPAIGN = "probe"
 
+Task = Union[NotifyTask, ProbeTask]
+
+
+class ShardError(RuntimeError):
+    """A worker failed; the message names its slot and, when known, the
+    unit (mtaid or provider key) it was running."""
+
+    def __init__(self, slot: int, unit: Optional[str], detail: str) -> None:
+        where = "worker %d" % slot if unit is None else "worker %d on unit %s" % (slot, unit)
+        super().__init__("%s: %s" % (where, detail))
+        self.slot, self.unit = slot, unit
+
+
+@dataclass(frozen=True)
+class WorkUnit:
+    """The smallest piece of work a worker pulls: every task that touches
+    one set of receivers (see the module docstring)."""
+
+    key: str  # mtaid for probe units, provider key for notify units
+    tasks: Tuple[Task, ...]
+
+
+def probe_units(schedule: Sequence[ProbeTask]) -> List[WorkUnit]:
+    """One unit per MTA, in schedule order: every MTA gets the same
+    policies, so the units are equal in size and already largest first."""
+    return [WorkUnit(task.host.mtaid, (task,)) for task in schedule]
+
+
+def notify_units(schedule: Sequence[NotifyTask]) -> List[WorkUnit]:
+    """One unit per provider, its tasks in schedule order; the providers
+    with the most domains come first (ties keep first appearance)."""
+    groups: Dict[str, List[NotifyTask]] = {}
+    for task in schedule:
+        groups.setdefault(task.domain.provider_key, []).append(task)
+    ordered = sorted(groups.items(), key=lambda group: -len(group[1]))
+    return [WorkUnit(key, tuple(tasks)) for key, tasks in ordered]
+
+
+@dataclass(frozen=True)
+class WorkerSlot:
+    """Which of the run's worker processes a job is for."""
+
+    index: int
+
 
 @dataclass
 class ShardJob:
     """Everything one worker needs, picklable under any start method.
 
-    The coordinator pre-slices its schedule, so a worker never recomputes
-    (or risks diverging from) the global ordering; task objects reference
-    the same domain/host objects as ``universe``, so the pickle graph
-    ships each object once.
+    ``units`` is the coordinator's whole queue; the worker pulls indices
+    into it and never recomputes (or risks diverging from) the schedule.
+    Task objects reference the same domain/host objects as ``universe``,
+    so the pickle graph ships each object once.
     """
 
     campaign: str  # _NOTIFY_CAMPAIGN | _PROBE_CAMPAIGN
-    shard: UniverseShard
+    shard: WorkerSlot
     universe: Universe
-    tasks: Union[List[NotifyTask], List[ProbeTask]]
+    units: List[WorkUnit]
     testbed_seed: int
+    #: Keyword arguments of the campaign class, after the testbed.
+    options: Dict[str, object]
     obs_enabled: bool = True
     reconcile: bool = False
-    # notify parameters
-    spacing: float = 2.0
-    start_time: float = 0.0
-    # probe parameters
-    name: str = ""
-    testids: Tuple[str, ...] = ()
-    campaign_seed: int = 0
-    sleep_seconds: float = 15.0
-    stagger: float = 1.0
+    #: In-process runs only: the unit indices this job runs.  A worker
+    #: process pulls from the shared queue instead.
+    deal: Optional[Tuple[int, ...]] = None
     # fault injection: the plan travels as (spec, seed) strings — each
     # worker rebuilds an identical FaultPlan, and because plan decisions
     # are pure functions of (seed, kind, endpoints, virtual time), every
-    # shard draws exactly what the serial run would.
+    # worker draws exactly what the serial run would.
     faults_spec: str = ""
     faults_seed: int = 0
 
@@ -111,22 +160,22 @@ class ShardResult:
     """One worker's picklable output."""
 
     index: int
-    deliveries: List[NotifyDelivery] = field(default_factory=list)
-    probe_results: List[ProbeResult] = field(default_factory=list)
+    #: The worker's deliveries (notify) or probe results (probe).
+    records: List[Union[NotifyDelivery, ProbeResult]] = field(default_factory=list)
     raw_log: List[QueryLogEntry] = field(default_factory=list)
     metrics: Optional[MetricsRegistry] = None
     span_count: int = 0
-    #: Per-shard span/query-log reconciliation verdict (None if not run).
+    #: Per-worker span/query-log reconciliation verdict (None if not run).
     reconciled: Optional[bool] = None
 
 
 @dataclass
 class MergedCampaign:
-    """A sharded run's merged output — content-identical to a serial run.
+    """A parallel run's merged output — content-identical to a serial run.
 
-    ``raw_log`` is the union of the shard servers' query logs in
-    timestamp order; ``metrics`` is the shard registries merged with
-    campaign-global gauges restored; ``span_count`` sums the shards'
+    ``raw_log`` is the union of the workers' query logs in timestamp
+    order; ``metrics`` is the worker registries merged with
+    campaign-global gauges restored; ``span_count`` sums the workers'
     span tallies (span objects themselves never leave the workers).
     """
 
@@ -135,9 +184,7 @@ class MergedCampaign:
     synth_config: SynthConfig
     metrics: Optional[MetricsRegistry]
     span_count: int
-    shards: int
-    workers: int
-    #: False if any shard's span/query-log reconciliation failed;
+    #: False if any worker's span/query-log reconciliation failed;
     #: None when reconciliation was not requested.
     reconciled: Optional[bool] = None
     #: Probe campaigns only: the coordinator's pre-flight audits.
@@ -149,98 +196,137 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
+#: A worker process's pull from the shared queue, set once per process by
+#: :func:`_worker_main` (the queue cannot travel inside the job).
+_unit_source: Iterator[int] = iter(())
+
+
+def _shared_cursor(cursor, count: int) -> Iterator[int]:
+    """Pull indices ``0 .. count-1`` from a cursor shared by all workers."""
+    while True:
+        with cursor.get_lock():
+            index = cursor.value
+            cursor.value = index + 1
+        if index >= count:
+            return
+        yield index
+
+
 def run_shard(job: ShardJob) -> ShardResult:
-    """Worker entry point: build the shard's testbed, run its slice.
+    """Worker entry point: build one testbed, run every unit pulled.
 
     Module-level (importable by name) and argument/return picklable, so
-    it is valid under fork and spawn alike.
+    it is valid under fork and spawn alike.  Called once per worker.
     """
     obs = Observability() if job.obs_enabled else NULL_OBS
-    if job.campaign == _NOTIFY_CAMPAIGN:
-        mta_filter = job.shard.notify_mtaids
-    else:
-        mta_filter = job.shard.mtaids
     faults = FaultPlan.parse(job.faults_spec, seed=job.faults_seed) if job.faults_spec else None
-    testbed = Testbed(
-        job.universe, seed=job.testbed_seed, obs=obs, mta_filter=mta_filter, faults=faults
-    )
-    result = ShardResult(index=job.shard.index)
-    if job.campaign == _NOTIFY_CAMPAIGN:
-        campaign = NotifyEmailCampaign(
-            testbed, spacing=job.spacing, start_time=job.start_time
-        )
-        result.deliveries = campaign.run(schedule=job.tasks).deliveries
-    elif job.campaign == _PROBE_CAMPAIGN:
-        probe_campaign = ProbeCampaign(
-            testbed,
-            job.name,
-            testids=job.testids,
-            sleep_seconds=job.sleep_seconds,
-            stagger=job.stagger,
-            start_time=job.start_time,
-            seed=job.campaign_seed,
-            preflight=False,  # the coordinator audited the policies once
-        )
-        result.probe_results = probe_campaign.run(schedule=job.tasks).results
-    else:
-        raise ValueError("unknown campaign kind: %r" % (job.campaign,))
-    result.raw_log = testbed.synth.query_log
+    testbed = Testbed(job.universe, seed=job.testbed_seed, obs=obs, faults=faults)
+    current: List[WorkUnit] = []
+
+    def pulled() -> Iterator[Task]:
+        for index in job.deal if job.deal is not None else _unit_source:
+            unit = job.units[index]
+            current[:] = [unit]
+            yield from unit.tasks
+
+    campaign_class = NotifyEmailCampaign if job.campaign == _NOTIFY_CAMPAIGN else ProbeCampaign
+    try:
+        outcome = campaign_class(testbed, **job.options).run(schedule=pulled())
+    except Exception as exc:
+        unit = current[0].key if current else None
+        raise ShardError(job.shard.index, unit, "%s: %s" % (type(exc).__name__, exc)) from exc
+    records = outcome.deliveries if isinstance(outcome, NotifyEmailResult) else outcome.results
+    result = ShardResult(job.shard.index, list(records), testbed.synth.query_log)
     if job.obs_enabled:
         result.metrics = obs.metrics
         result.span_count = len(obs.tracer.finished)
         if job.reconcile:
             from repro.obs.reconcile import reconcile_spans
 
-            verdict = reconcile_spans(
-                obs.tracer.finished, testbed.query_index(), testbed.synth_config
-            )
+            verdict = reconcile_spans(obs.tracer.finished, outcome.index, testbed.synth_config)
             result.reconciled = verdict.matched
     return result
 
 
-def _execute(jobs: List[ShardJob], workers: int, use_processes: bool) -> List[ShardResult]:
-    """Run every job, in shard order, with at most ``workers`` processes."""
+def _worker_main(job: ShardJob, cursor, count: int, conn) -> None:
+    """A worker process: point the unit source at the shared cursor, run
+    the job, and report exactly one message on ``conn``."""
+    global _unit_source
+    _unit_source = _shared_cursor(cursor, count)
+    try:
+        message = ("ok", run_shard(job))
+    except Exception as exc:
+        unit = exc.unit if isinstance(exc, ShardError) else None
+        message = ("error", (unit, traceback.format_exc()))
+    conn.send(message)
+    conn.close()
+
+
+def _execute(jobs: List[ShardJob], use_processes: bool) -> List[ShardResult]:
+    """Run every job (one per worker slot); results in slot order."""
     if not jobs:
         return []
-    if use_processes and workers > 1:
-        with multiprocessing.Pool(processes=min(workers, len(jobs))) as pool:
-            return pool.map(run_shard, jobs)
-    return [run_shard(job) for job in jobs]
+    count = len(jobs[0].units)
+    if not use_processes or len(jobs) == 1:
+        for job in jobs:
+            job.deal = tuple(range(job.shard.index, count, len(jobs)))
+        return [run_shard(job) for job in jobs]
+    # The default start method (fork on Linux) lets workers inherit the
+    # imported package and the memoised key pair; the coordinator starts
+    # no threads.  Under spawn everything still works, only slower.
+    cursor = multiprocessing.Value("i", 0)
+    workers: Dict[multiprocessing.connection.Connection, Tuple[int, multiprocessing.Process]] = {}
+    results_by_slot: Dict[int, ShardResult] = {}
+    try:
+        for job in jobs:
+            reader, writer = multiprocessing.Pipe(duplex=False)
+            process = multiprocessing.Process(
+                target=_worker_main, args=(job, cursor, count, writer), daemon=True
+            )
+            process.start()
+            # Close our copy of the write end, so the reader sees EOF if
+            # the worker dies, and later workers do not inherit it.
+            writer.close()
+            workers[reader] = (job.shard.index, process)
+        while workers:
+            for reader in multiprocessing.connection.wait(list(workers)):
+                slot, process = workers[reader]
+                try:
+                    status, payload = reader.recv()
+                except EOFError:  # the worker died without reporting
+                    status, payload = "died", None
+                process.join()  # it exits right after its one message
+                del workers[reader]
+                if status == "died":
+                    raise ShardError(slot, None, "exited with code %s before reporting" % process.exitcode)
+                if status == "error":
+                    unit, detail = payload
+                    raise ShardError(slot, unit, detail)
+                results_by_slot[slot] = payload
+    finally:
+        for _, process in workers.values():
+            process.terminate()
+            process.join()
+    return [results_by_slot[slot] for slot in sorted(results_by_slot)]
 
 
 def merge_raw_logs(shard_logs: Sequence[Sequence[QueryLogEntry]]) -> List[QueryLogEntry]:
-    """The union of the shards' query logs in virtual-timestamp order.
+    """The union of the workers' query logs in virtual-timestamp order.
 
     A serial server's log is in *arrival* order, which only differs from
-    timestamp order for deferred work (post-delivery SPF checks); every
-    consumer (``QueryIndex``, tracecheck, the trace dumps) orders by
-    timestamp anyway, so the timestamp-sorted union is the canonical
-    form.  The sort is stable with ties broken by shard order; distinct
-    conversations get distinct continuous latencies, so cross-shard ties
-    do not occur in practice.
+    timestamp order for deferred work (post-delivery SPF checks) — and,
+    in a worker, for units pulled out of schedule order; every consumer
+    (``QueryIndex``, tracecheck, the trace dumps) orders by timestamp
+    anyway, so the timestamp-sorted union is the canonical form.  The
+    sort is stable, so one unit's equal-timestamp entries keep their
+    arrival order; distinct conversations get distinct continuous
+    latencies, so ties across units do not occur in practice.
     """
     merged: List[QueryLogEntry] = []
     for log in shard_logs:
         merged.extend(log)
     merged.sort(key=lambda entry: entry.timestamp)
     return merged
-
-
-def _merge_metrics(
-    shard_results: Sequence[ShardResult], obs_enabled: bool
-) -> Optional[MetricsRegistry]:
-    if not obs_enabled:
-        return None
-    return MetricsRegistry.merged(
-        shard.metrics for shard in shard_results if shard.metrics is not None
-    )
-
-
-def _merged_reconciliation(shard_results: Sequence[ShardResult]) -> Optional[bool]:
-    verdicts = [shard.reconciled for shard in shard_results if shard.reconciled is not None]
-    if not verdicts:
-        return None
-    return all(verdicts)
 
 
 def merge_shard_results(
@@ -251,21 +337,23 @@ def merge_shard_results(
     name: str = "",
     obs_enabled: bool = True,
 ) -> Tuple[Union[NotifyEmailResult, ProbeCampaignResult], List[QueryLogEntry], Optional[MetricsRegistry]]:
-    """Deterministic reduce: shard outputs → serial-identical objects.
+    """Deterministic reduce: worker outputs → serial-identical objects.
 
     Record lists are re-ordered to the coordinator's schedule (the order
     the serial path would have produced them in), the raw logs merge by
     timestamp, and the metrics registries merge with the campaign-global
-    gauges overwritten — shard workers each recorded their local slice
-    size, but the serial run records the global one.
+    gauges overwritten — workers each recorded their local unit count,
+    but the serial run records the global one.
     """
     raw_log = merge_raw_logs([shard.raw_log for shard in shard_results])
     index = QueryIndex(attribute_queries(raw_log, synth_config))
-    metrics = _merge_metrics(shard_results, obs_enabled)
+    metrics = None
+    if obs_enabled:
+        metrics = MetricsRegistry.merged(s.metrics for s in shard_results if s.metrics is not None)
     if campaign == _NOTIFY_CAMPAIGN:
         by_domain: Dict[str, NotifyDelivery] = {}
         for shard in shard_results:
-            for delivery in shard.deliveries:
+            for delivery in shard.records:
                 by_domain[delivery.domain.domainid] = delivery
         deliveries = [
             by_domain[task.domain.domainid]
@@ -277,7 +365,7 @@ def merge_shard_results(
         return NotifyEmailResult(deliveries, index), raw_log, metrics
     by_pair: Dict[Tuple[str, str], ProbeResult] = {}
     for shard in shard_results:
-        for probe in shard.probe_results:
+        for probe in shard.records:
             by_pair[(probe.mtaid, probe.testid)] = probe
     results: List[ProbeResult] = []
     probed: Dict[str, MtaHost] = {}
@@ -291,19 +379,45 @@ def merge_shard_results(
                 results.append(probe)
     if metrics is not None:
         metrics.gauge("campaign_eligible_mtas", len(schedule), (("campaign", name),))
-    merged = ProbeCampaignResult(
-        name=name,
-        results=results,
-        index=index,
-        probed=probed,
-        recipient_domain=recipients,
-    )
+    merged = ProbeCampaignResult(name, results, index, probed=probed, recipient_domain=recipients)
     return merged, raw_log, metrics
+
+
+def _run_parallel(
+    campaign: str,
+    schedule: Union[Sequence[NotifyTask], Sequence[ProbeTask]],
+    units: List[WorkUnit],
+    synth_config: SynthConfig,
+    workers: Optional[int],
+    use_processes: bool,
+    obs: bool,
+    name: str = "",
+    **params,
+) -> MergedCampaign:
+    """One job per worker slot (never more slots than units), executed
+    and merged."""
+    slots = min(workers if workers is not None else default_workers(), len(units))
+    jobs = [
+        ShardJob(campaign=campaign, shard=WorkerSlot(index), units=units, obs_enabled=obs, **params)
+        for index in range(slots)
+    ]
+    shard_results = _execute(jobs, use_processes)
+    result, raw_log, metrics = merge_shard_results(
+        campaign, schedule, shard_results, synth_config, name=name, obs_enabled=obs
+    )
+    verdicts = [shard.reconciled for shard in shard_results if shard.reconciled is not None]
+    return MergedCampaign(
+        result=result,
+        raw_log=raw_log,
+        synth_config=synth_config,
+        metrics=metrics,
+        span_count=sum(shard.span_count for shard in shard_results),
+        reconciled=all(verdicts) if verdicts else None,
+    )
 
 
 def run_notify_sharded(
     universe: Universe,
-    shards: Optional[int] = None,
     workers: Optional[int] = None,
     testbed_seed: int = 0,
     spacing: float = 2.0,
@@ -314,56 +428,28 @@ def run_notify_sharded(
     faults_spec: str = "",
     faults_seed: int = 0,
 ) -> MergedCampaign:
-    """The NotifyEmail campaign, sharded K ways over worker processes.
+    """The NotifyEmail campaign over ``workers`` worker processes.
 
     Produces deliveries, an attributed query index, and metrics
     content-identical to ``NotifyEmailCampaign(Testbed(universe,
     seed=testbed_seed)).run()``.
     """
-    workers = workers if workers is not None else default_workers()
-    shards = shards if shards is not None else max(1, workers)
     _, synth_config = make_synth_config(testbed_seed)
     schedule = notify_schedule(universe.domains, spacing=spacing, start_time=start_time)
-    slices: Dict[int, List[NotifyTask]] = {}
-    partition = partition_universe(universe, shards)
-    for shard in partition:
-        slices[shard.index] = []
-    lookup = {}
-    for shard in partition:
-        for domainid in shard.domainids:
-            lookup[domainid] = shard.index
-    for task in schedule:
-        slices[lookup[task.domain.domainid]].append(task)
-    jobs = [
-        ShardJob(
-            campaign=_NOTIFY_CAMPAIGN,
-            shard=shard,
-            universe=universe,
-            tasks=slices[shard.index],
-            testbed_seed=testbed_seed,
-            obs_enabled=obs,
-            reconcile=reconcile,
-            spacing=spacing,
-            start_time=start_time,
-            faults_spec=faults_spec,
-            faults_seed=faults_seed,
-        )
-        for shard in partition
-        if slices[shard.index]
-    ]
-    shard_results = _execute(jobs, workers, use_processes)
-    result, raw_log, metrics = merge_shard_results(
-        _NOTIFY_CAMPAIGN, schedule, shard_results, synth_config, obs_enabled=obs
-    )
-    return MergedCampaign(
-        result=result,
-        raw_log=raw_log,
-        synth_config=synth_config,
-        metrics=metrics,
-        span_count=sum(shard.span_count for shard in shard_results),
-        shards=shards,
-        workers=workers,
-        reconciled=_merged_reconciliation(shard_results),
+    return _run_parallel(
+        _NOTIFY_CAMPAIGN,
+        schedule,
+        notify_units(schedule),
+        synth_config,
+        workers,
+        use_processes,
+        obs,
+        universe=universe,
+        testbed_seed=testbed_seed,
+        options={"spacing": spacing, "start_time": start_time},
+        reconcile=reconcile,
+        faults_spec=faults_spec,
+        faults_seed=faults_seed,
     )
 
 
@@ -371,7 +457,6 @@ def run_probe_sharded(
     universe: Universe,
     name: str,
     testids: Optional[Sequence[str]] = None,
-    shards: Optional[int] = None,
     workers: Optional[int] = None,
     testbed_seed: int = 0,
     campaign_seed: int = 0,
@@ -385,69 +470,41 @@ def run_probe_sharded(
     faults_spec: str = "",
     faults_seed: int = 0,
 ) -> MergedCampaign:
-    """The probe campaign (NotifyMX / TwoWeekMX), sharded K ways.
+    """The probe campaign (NotifyMX / TwoWeekMX) over ``workers`` workers.
 
     Produces results, an attributed query index, and metrics
     content-identical to ``ProbeCampaign(Testbed(universe,
     seed=testbed_seed), name, seed=campaign_seed, ...).run()``.
     """
-    workers = workers if workers is not None else default_workers()
-    shards = shards if shards is not None else max(1, workers)
     testid_list = tuple(testids) if testids is not None else tuple(p.testid for p in POLICIES)
-    audits = (
-        preflight_policies(policy_by_id(testid) for testid in testid_list)
-        if preflight
-        else {}
-    )
+    audits = preflight_policies(policy_by_id(t) for t in testid_list) if preflight else {}
     _, synth_config = make_synth_config(testbed_seed)
     schedule = probe_schedule(
-        universe,
-        testid_list,
-        seed=campaign_seed,
-        stagger=stagger,
-        start_time=start_time,
+        universe, testid_list, seed=campaign_seed, stagger=stagger, start_time=start_time
     )
-    partition = partition_universe(universe, shards)
-    slices: Dict[int, List[ProbeTask]] = {shard.index: [] for shard in partition}
-    lookup = {}
-    for shard in partition:
-        for mtaid in shard.mtaids:
-            lookup[mtaid] = shard.index
-    for task in schedule:
-        slices[lookup[task.host.mtaid]].append(task)
-    jobs = [
-        ShardJob(
-            campaign=_PROBE_CAMPAIGN,
-            shard=shard,
-            universe=universe,
-            tasks=slices[shard.index],
-            testbed_seed=testbed_seed,
-            obs_enabled=obs,
-            reconcile=reconcile,
-            name=name,
-            testids=testid_list,
-            campaign_seed=campaign_seed,
-            sleep_seconds=sleep_seconds,
-            stagger=stagger,
-            start_time=start_time,
-            faults_spec=faults_spec,
-            faults_seed=faults_seed,
-        )
-        for shard in partition
-        if slices[shard.index]
-    ]
-    shard_results = _execute(jobs, workers, use_processes)
-    result, raw_log, metrics = merge_shard_results(
-        _PROBE_CAMPAIGN, schedule, shard_results, synth_config, name=name, obs_enabled=obs
+    merged = _run_parallel(
+        _PROBE_CAMPAIGN,
+        schedule,
+        probe_units(schedule),
+        synth_config,
+        workers,
+        use_processes,
+        obs,
+        name=name,
+        universe=universe,
+        testbed_seed=testbed_seed,
+        options={
+            "name": name,
+            "testids": testid_list,
+            "sleep_seconds": sleep_seconds,
+            "stagger": stagger,
+            "start_time": start_time,
+            "seed": campaign_seed,
+            "preflight": False,  # the coordinator audited the policies once
+        },
+        reconcile=reconcile,
+        faults_spec=faults_spec,
+        faults_seed=faults_seed,
     )
-    return MergedCampaign(
-        result=result,
-        raw_log=raw_log,
-        synth_config=synth_config,
-        metrics=metrics,
-        span_count=sum(shard.span_count for shard in shard_results),
-        shards=shards,
-        workers=workers,
-        reconciled=_merged_reconciliation(shard_results),
-        preflight_audits=audits,
-    )
+    merged.preflight_audits = audits
+    return merged

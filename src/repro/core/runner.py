@@ -17,15 +17,17 @@ observability pair ``<name>_metrics.txt`` / ``<name>_spans.jsonl``
 and ``notifymx`` share one testbed, the NotifyMX observability artefacts
 are cumulative over both campaigns; see ``OBSERVABILITY.md``.
 
-``--workers N`` (default: one per CPU) runs each campaign sharded over N
-worker processes via :mod:`repro.core.parallel`; ``--workers 1`` is the
-classic serial path.  The merge layer is deterministic, so every report,
-trace, tracecheck, and metrics artefact is identical whichever worker
-count produced it.  The one exception is ``<name>_spans.jsonl``: span
-*objects* stay inside the worker processes (each shard has its own
-``campaign.run`` root span), so parallel runs skip the span dump and
-instead reconcile spans against the query log per shard, inside each
-worker.
+``--workers N`` (default: one per CPU) runs each campaign over N worker
+processes via :mod:`repro.core.parallel`: each worker pulls MTA units
+(probe campaigns) or provider units (NotifyEmail) from one work queue
+until it is empty; ``--workers 1`` is the classic serial path.  The
+merge layer is deterministic, so every report, trace, tracecheck, and
+metrics artefact is identical whichever worker count produced it, and
+whichever worker ran which unit.  The one exception is
+``<name>_spans.jsonl``: span *objects* stay inside the worker processes
+(each worker has its own ``campaign.run`` root span), so parallel runs
+skip the span dump and instead reconcile spans against the query log per
+worker, inside each worker.
 
 ``--faults SPEC`` threads a deterministic fault-injection plan
 (:mod:`repro.net.faults`) through every layer of the testbed; the plan's
@@ -36,8 +38,9 @@ plan per fault kind and writes ``faultmatrix_report.txt``; it never runs
 as part of ``all``.
 
 A non-clean tracecheck or a span/query-log reconciliation mismatch means
-the harness, not a validator, misbehaved; the runner says so loudly but
-still writes every artefact.  All human-facing output flows through one
+the harness, not a validator, misbehaved: the runner still writes every
+artefact, says so loudly, and exits 1.  A failed worker raises
+:class:`~repro.core.parallel.ShardError`.  All human-facing output flows through one
 :class:`~repro.obs.progress.ProgressSink`, so ``--quiet`` silences
 everything uniformly.
 """
@@ -47,7 +50,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Union
 
 from repro.core import analysis as A
 from repro.core import trace
@@ -108,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=default_workers(),
-        help="worker processes for sharded campaign execution "
+        help="worker processes pulling campaign units from one work queue "
         "(default: one per CPU; 1 = serial)",
     )
     parser.add_argument(
@@ -123,6 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run the chosen experiments; 1 if any tracecheck or span
+    reconciliation verdict failed (after every artefact is written)."""
     args = build_parser().parse_args(argv)
     args.out.mkdir(parents=True, exist_ok=True)
     sink = ProgressSink(quiet=args.quiet)
@@ -132,11 +137,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     wanted = EXPERIMENTS if args.experiment == "all" else (args.experiment,)
 
+    clean = True
     if "notifyemail" in wanted or "notifymx" in wanted:
-        _run_notify_family(args, wanted, sink)
+        clean &= _run_notify_family(args, wanted, sink)
     if "twoweekmx" in wanted:
-        _run_twoweekmx(args, sink)
+        clean &= _run_twoweekmx(args, sink)
     sink.say("all done in %.1f s -> %s" % (sink.elapsed(), args.out))
+    if not clean:
+        sink.warn("  !! self-check verdicts failed (see the warnings above); exit status 1")
+        return 1
     return 0
 
 
@@ -227,42 +236,60 @@ def _twoweekmx_sections(universe: Universe, result: ProbeCampaignResult) -> List
     ]
 
 
-def _run_notify_family(args, wanted, sink: ProgressSink) -> None:
+def _write_experiment(
+    args,
+    name: str,
+    sections: List[str],
+    result: Union[NotifyEmailResult, ProbeCampaignResult],
+    raw_log: Sequence[QueryLogEntry],
+    config: SynthConfig,
+    sink: ProgressSink,
+    write_obs: Callable[[], bool],
+) -> bool:
+    """Write one experiment's report, traces, tracecheck, and (through
+    ``write_obs``) observability artefacts; False if a self-check failed."""
+    report = args.out / ("%s_report.txt" % name)
+    _write(report, sections)
+    trace.save_query_log(result.index.queries, args.out / ("%s_queries.jsonl" % name))
+    if isinstance(result, ProbeCampaignResult):
+        trace.save_probe_results(result.results, args.out / ("%s_probes.jsonl" % name))
+    clean = _postflight(raw_log, config, args.out / ("%s_tracecheck.txt" % name), sink)
+    clean &= write_obs()
+    sink.say("  -> %s" % report)
+    return clean
+
+
+def _run_notify_family(args, wanted, sink: ProgressSink) -> bool:
+    """Run the notify experiments; False if any self-check failed."""
     sink.say("generating NotifyEmail universe (scale %.3f) ..." % args.scale)
     universe = generate_universe(DatasetSpec.notify_email(scale=args.scale), seed=args.seed)
     if args.workers > 1:
-        _run_notify_family_sharded(args, wanted, sink, universe)
-        return
+        return _run_notify_family_sharded(args, wanted, sink, universe)
     testbed = _make_testbed(args, universe, seed=args.seed + 1)
+    clean = True
 
     if "notifyemail" in wanted:
         sink.say("running NotifyEmail: one signed notification per domain ...")
         result = NotifyEmailCampaign(testbed).run()
-        _write(args.out / "notifyemail_report.txt", _notifyemail_sections(universe, result))
-        trace.save_query_log(result.index.queries, args.out / "notifyemail_queries.jsonl")
-        _postflight(
-            testbed.synth.query_log, testbed.synth_config,
-            args.out / "notifyemail_tracecheck.txt", sink,
+        clean &= _write_experiment(
+            args, "notifyemail", _notifyemail_sections(universe, result), result,
+            testbed.synth.query_log, testbed.synth_config, sink,
+            lambda: _write_obs(testbed, args.out, "notifyemail", sink),
         )
-        _write_obs(testbed, args.out, "notifyemail", sink)
-        sink.say("  -> %s" % (args.out / "notifyemail_report.txt"))
 
     if "notifymx" in wanted:
         sink.say("running NotifyMX: probing the same MTAs with soured reputation ...")
         apply_reputation_effects(universe, seed=args.seed + 2)
         probe_result = ProbeCampaign(testbed, "NotifyMX", start_time=1e7, seed=args.seed).run()
-        _write(args.out / "notifymx_report.txt", _notifymx_sections(universe, probe_result))
-        trace.save_query_log(probe_result.index.queries, args.out / "notifymx_queries.jsonl")
-        trace.save_probe_results(probe_result.results, args.out / "notifymx_probes.jsonl")
-        _postflight(
-            testbed.synth.query_log, testbed.synth_config,
-            args.out / "notifymx_tracecheck.txt", sink,
+        clean &= _write_experiment(
+            args, "notifymx", _notifymx_sections(universe, probe_result), probe_result,
+            testbed.synth.query_log, testbed.synth_config, sink,
+            lambda: _write_obs(testbed, args.out, "notifymx", sink),
         )
-        _write_obs(testbed, args.out, "notifymx", sink)
-        sink.say("  -> %s" % (args.out / "notifymx_report.txt"))
+    return clean
 
 
-def _run_notify_family_sharded(args, wanted, sink: ProgressSink, universe: Universe) -> None:
+def _run_notify_family_sharded(args, wanted, sink: ProgressSink, universe: Universe) -> bool:
     """The notify family over worker processes.
 
     Mirrors the serial path's cumulative-testbed semantics: the NotifyMX
@@ -270,6 +297,7 @@ def _run_notify_family_sharded(args, wanted, sink: ProgressSink, universe: Unive
     campaigns' traffic, exactly as one shared testbed would have logged.
     """
     obs_enabled = not args.no_obs
+    clean = True
     notify_raw: List[QueryLogEntry] = []
     notify_metrics: Optional[MetricsRegistry] = None
 
@@ -287,14 +315,11 @@ def _run_notify_family_sharded(args, wanted, sink: ProgressSink, universe: Unive
         notify_metrics = merged.metrics
         result = merged.result
         assert isinstance(result, NotifyEmailResult)
-        _write(args.out / "notifyemail_report.txt", _notifyemail_sections(universe, result))
-        trace.save_query_log(result.index.queries, args.out / "notifyemail_queries.jsonl")
-        _postflight(
-            merged.raw_log, merged.synth_config,
-            args.out / "notifyemail_tracecheck.txt", sink,
+        clean &= _write_experiment(
+            args, "notifyemail", _notifyemail_sections(universe, result), result,
+            merged.raw_log, merged.synth_config, sink,
+            lambda: _write_obs_merged(merged.metrics, merged.reconciled, args.out, "notifyemail", sink),
         )
-        _write_obs_merged(merged.metrics, merged.reconciled, args.out, "notifyemail", sink)
-        sink.say("  -> %s" % (args.out / "notifyemail_report.txt"))
 
     if "notifymx" in wanted:
         sink.say("running NotifyMX over %d workers ..." % args.workers)
@@ -315,21 +340,20 @@ def _run_notify_family_sharded(args, wanted, sink: ProgressSink, universe: Unive
         # The serial path's NotifyMX artefacts are cumulative over the
         # shared testbed; reproduce that from the phases' merged logs.
         cumulative_raw = merge_raw_logs([notify_raw, merged.raw_log])
-        probe_result.index = _attributed_index(cumulative_raw, merged.synth_config)
+        probe_result.index = QueryIndex(attribute_queries_with_stats(cumulative_raw, merged.synth_config)[0])
         cumulative_metrics = merged.metrics
         if obs_enabled and notify_metrics is not None and merged.metrics is not None:
             cumulative_metrics = MetricsRegistry.merged([notify_metrics, merged.metrics])
-        _write(args.out / "notifymx_report.txt", _notifymx_sections(universe, probe_result))
-        trace.save_query_log(probe_result.index.queries, args.out / "notifymx_queries.jsonl")
-        trace.save_probe_results(probe_result.results, args.out / "notifymx_probes.jsonl")
-        _postflight(
-            cumulative_raw, merged.synth_config, args.out / "notifymx_tracecheck.txt", sink
+        clean &= _write_experiment(
+            args, "notifymx", _notifymx_sections(universe, probe_result), probe_result,
+            cumulative_raw, merged.synth_config, sink,
+            lambda: _write_obs_merged(cumulative_metrics, merged.reconciled, args.out, "notifymx", sink),
         )
-        _write_obs_merged(cumulative_metrics, merged.reconciled, args.out, "notifymx", sink)
-        sink.say("  -> %s" % (args.out / "notifymx_report.txt"))
+    return clean
 
 
-def _run_twoweekmx(args, sink: ProgressSink) -> None:
+def _run_twoweekmx(args, sink: ProgressSink) -> bool:
+    """Run TwoWeekMX; False if any self-check failed."""
     sink.say("generating TwoWeekMX universe (scale %.3f) ..." % args.scale)
     universe = generate_universe(DatasetSpec.two_week_mx(scale=args.scale), seed=args.seed + 3)
     if args.workers > 1:
@@ -347,27 +371,19 @@ def _run_twoweekmx(args, sink: ProgressSink) -> None:
         )
         result = merged.result
         assert isinstance(result, ProbeCampaignResult)
-        _write(args.out / "twoweekmx_report.txt", _twoweekmx_sections(universe, result))
-        trace.save_query_log(result.index.queries, args.out / "twoweekmx_queries.jsonl")
-        trace.save_probe_results(result.results, args.out / "twoweekmx_probes.jsonl")
-        _postflight(
-            merged.raw_log, merged.synth_config, args.out / "twoweekmx_tracecheck.txt", sink
+        return _write_experiment(
+            args, "twoweekmx", _twoweekmx_sections(universe, result), result,
+            merged.raw_log, merged.synth_config, sink,
+            lambda: _write_obs_merged(merged.metrics, merged.reconciled, args.out, "twoweekmx", sink),
         )
-        _write_obs_merged(merged.metrics, merged.reconciled, args.out, "twoweekmx", sink)
-        sink.say("  -> %s" % (args.out / "twoweekmx_report.txt"))
-        return
     testbed = _make_testbed(args, universe, seed=args.seed + 4)
     sink.say("running TwoWeekMX probe campaign ...")
     result = ProbeCampaign(testbed, "TwoWeekMX", seed=args.seed).run()
-    _write(args.out / "twoweekmx_report.txt", _twoweekmx_sections(universe, result))
-    trace.save_query_log(result.index.queries, args.out / "twoweekmx_queries.jsonl")
-    trace.save_probe_results(result.results, args.out / "twoweekmx_probes.jsonl")
-    _postflight(
-        testbed.synth.query_log, testbed.synth_config,
-        args.out / "twoweekmx_tracecheck.txt", sink,
+    return _write_experiment(
+        args, "twoweekmx", _twoweekmx_sections(universe, result), result,
+        testbed.synth.query_log, testbed.synth_config, sink,
+        lambda: _write_obs(testbed, args.out, "twoweekmx", sink),
     )
-    _write_obs(testbed, args.out, "twoweekmx", sink)
-    sink.say("  -> %s" % (args.out / "twoweekmx_report.txt"))
 
 
 def _run_faultmatrix(args, sink: ProgressSink) -> None:
@@ -383,17 +399,13 @@ def _run_faultmatrix(args, sink: ProgressSink) -> None:
     sink.say("  -> %s" % (args.out / "faultmatrix_report.txt"))
 
 
-def _attributed_index(entries: Sequence[QueryLogEntry], config: SynthConfig) -> QueryIndex:
-    attributed, _ = attribute_queries_with_stats(entries, config)
-    return QueryIndex(attributed)
-
-
 def _postflight(
     entries: Sequence[QueryLogEntry], config: SynthConfig, path: Path, sink: ProgressSink
-) -> None:
+) -> bool:
     """Diff a raw query log against the policy footprints; the written
     report is an artefact like any other.  Serial callers pass the
-    testbed's cumulative log, sharded callers the merged one."""
+    testbed's cumulative log, sharded callers the merged one.  Returns
+    whether the trace was clean."""
     attributed, stats = attribute_queries_with_stats(entries, config)
     result = check_index(QueryIndex(attributed), config=config, stats=stats)
     header = "tracecheck: %d queries over %d (mtaid, testid) pairs" % (
@@ -404,15 +416,17 @@ def _postflight(
     if not result.clean:
         sink.warn("  !! tracecheck found %d conformance finding(s) -> %s"
                   % (len(result.report.diagnostics), path))
+    return result.clean
 
 
-def _write_obs(testbed: Testbed, out: Path, name: str, sink: ProgressSink) -> None:
+def _write_obs(testbed: Testbed, out: Path, name: str, sink: ProgressSink) -> bool:
     """Export the testbed's cumulative metrics and spans (no-op under
     ``--no-obs``), then reconcile spans against the attributed query log
-    as a second, independent witness of what the campaign did."""
+    as a second, independent witness of what the campaign did.  Returns
+    False only on a reconciliation mismatch."""
     obs = testbed.obs
     if not obs.enabled:
-        return
+        return True
     metrics_path = out / ("%s_metrics.txt" % name)
     _write(metrics_path, [render_metrics_text(obs.metrics, header="%s metrics" % name)])
     spans_path = out / ("%s_spans.jsonl" % name)
@@ -422,6 +436,7 @@ def _write_obs(testbed: Testbed, out: Path, name: str, sink: ProgressSink) -> No
     verdict = reconcile_spans(obs.tracer.finished, testbed.query_index(), testbed.synth_config)
     if not verdict.matched:
         sink.warn("  !! span/query-log reconciliation mismatch:\n%s" % verdict.render_text())
+    return verdict.matched
 
 
 def _write_obs_merged(
@@ -430,23 +445,25 @@ def _write_obs_merged(
     out: Path,
     name: str,
     sink: ProgressSink,
-) -> None:
-    """Export a sharded run's merged metrics (no-op under ``--no-obs``).
+) -> bool:
+    """Export a parallel run's merged metrics (no-op under ``--no-obs``).
 
     Span objects never left the worker processes, so there is no
     ``<name>_spans.jsonl`` here; each worker instead reconciled its own
     spans against its own query log, and ``reconciled`` reports the
-    conjunction of those per-shard verdicts."""
+    conjunction of those per-worker verdicts.  Returns False only when
+    that conjunction failed."""
     if metrics is None:
-        return
+        return True
     metrics_path = out / ("%s_metrics.txt" % name)
     _write(metrics_path, [render_metrics_text(metrics, header="%s metrics" % name)])
     sink.say(
-        "  -> %s (%d series); spans reconciled per shard, no span dump"
+        "  -> %s (%d series); spans reconciled per worker, no span dump"
         % (metrics_path, len(metrics))
     )
     if reconciled is False:
-        sink.warn("  !! span/query-log reconciliation mismatch in at least one shard")
+        sink.warn("  !! span/query-log reconciliation mismatch in at least one worker")
+    return reconciled is not False
 
 
 def _write(path: Path, sections: List[str]) -> None:

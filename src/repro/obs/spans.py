@@ -76,8 +76,10 @@ class Span:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        # Hot path: this is Tracer._finish inlined (one call per span
-        # adds up — see benchmarks/bench_obs_overhead.py).
+        # Hot path, so the tracer's bookkeeping is inlined here (one call
+        # per span adds up — see benchmarks/bench_obs_overhead.py).
+        # Context managers guarantee LIFO exits; a foreign span (one
+        # constructed directly) leaves the stack alone.
         if exc is not None:
             self.attrs.setdefault("error", "%s: %s" % (type(exc).__name__, exc))
         if self.t_end is None:
@@ -124,13 +126,6 @@ class Tracer:
         self._next_id += 1
         self._stack.append(created)
         return created
-
-    def _finish(self, span: Span) -> None:
-        # Context managers guarantee LIFO exits; tolerate a foreign span
-        # (constructed directly) by leaving the stack alone.
-        if self._stack and self._stack[-1] is span:
-            self._stack.pop()
-        self.finished.append(span)
 
     # -- queries ---------------------------------------------------------
 

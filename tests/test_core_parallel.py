@@ -1,33 +1,47 @@
-"""Tests for sharded parallel campaign execution (repro.core.parallel).
+"""Tests for work-queue parallel campaign execution (repro.core.parallel).
 
-The load-bearing property is *differential*: for K ∈ {1, 2, 4} a sharded
-run must produce the same attributed-query multiset, the same analysis
-tables, the same metrics, and the same tracecheck verdict as the serial
-path.  Everything else (partition stability, merge algebra) supports
-that headline guarantee.
+The load-bearing property is *differential*: for W ∈ {1, 2, 3, 4} workers
+(in-process, and with real processes at W ∈ {2, 3}, with and without a
+fault plan) a parallel run must produce the same attributed-query
+multiset, the same analysis tables, the same metrics, and the same
+tracecheck verdict as the serial path, whichever worker ran which unit.
+Everything else (unit grouping, merge algebra, loud worker failures)
+supports that headline guarantee.
 """
 
 import math
+import multiprocessing
+import os
+import signal
 from collections import Counter
 
 import pytest
 
 from repro.core import analysis as A
-from repro.core.campaign import NotifyEmailCampaign, ProbeCampaign, Testbed, probe_schedule
-from repro.core.datasets import (
-    DatasetSpec,
-    generate_universe,
-    partition_universe,
-    shard_index,
-    stable_hash64,
+from repro.core import campaign as campaign_module
+from repro.core.campaign import (
+    NotifyEmailCampaign,
+    ProbeCampaign,
+    Testbed,
+    make_synth_config,
+    notify_schedule,
+    probe_schedule,
 )
+from repro.core.datasets import DatasetSpec, generate_universe, stable_hash64
+from repro.core.policies import POLICIES
+from repro.core.probe import ProbeClient
 from repro.core.parallel import (
+    ShardError,
     merge_raw_logs,
+    notify_units,
+    probe_units,
     run_notify_sharded,
     run_probe_sharded,
 )
 from repro.core.querylog import QueryIndex
 from repro.lint.tracecheck import check_index
+from repro.mta.sender import SendingMta
+from repro.net.faults import FaultPlan
 from repro.obs import Observability
 from repro.obs.metrics import Histogram, MetricsRegistry
 
@@ -70,44 +84,76 @@ def query_key(query):
     )
 
 
-class TestPartition:
+class TestUnits:
     def test_stable_hash_is_seed_independent(self):
-        # A golden value: blake2b is stable across processes and runs,
-        # unlike the salted builtin hash().
+        # blake2b is stable across processes and runs, unlike the salted
+        # builtin hash(); per-MTA probe orders derive from it.
         assert stable_hash64("mta00001") == stable_hash64("mta00001")
-        assert shard_index("mta00001", 4) == stable_hash64("mta00001") % 4
+        assert stable_hash64("mta00001") != stable_hash64("mta00002")
 
-    def test_partition_is_disjoint_and_complete(self, universe):
-        for shards in (1, 2, 4, 7):
-            partition = partition_universe(universe, shards)
-            assert len(partition) == shards
-            all_domains = [d for shard in partition for d in shard.domainids]
-            all_mtas = [m for shard in partition for m in shard.mtaids]
-            assert len(all_domains) == len(set(all_domains))
-            assert sorted(all_domains) == sorted(d.domainid for d in universe.domains)
-            assert len(all_mtas) == len(set(all_mtas))
-            assert sorted(all_mtas) == sorted(h.mtaid for h in universe.mtas)
+    def test_units_are_disjoint_and_complete(self, universe):
+        probe = probe_schedule(universe, ("t01", "t02"), seed=5)
+        units = probe_units(probe)
+        # One unit per MTA; equal sizes keep schedule order.
+        assert [task for u in units for task in u.tasks] == probe
+        assert [u.key for u in units] == [task.host.mtaid for task in probe]
+        notify = notify_schedule(universe.domains)
+        tasks = [task.domain.domainid for u in notify_units(notify) for task in u.tasks]
+        assert len(tasks) == len(set(tasks))
+        assert sorted(tasks) == sorted(d.domainid for d in universe.domains)
 
-    def test_domains_follow_their_provider(self, universe):
-        """Every domain of one provider lands in one shard, and that
-        shard's notify pool covers the provider's MTAs — receiver state
-        (resolver caches, greylists) must stay shard-local."""
-        partition = partition_universe(universe, 4)
-        domain_shard = {}
-        for shard in partition:
-            for domainid in shard.domainids:
-                domain_shard[domainid] = shard
-        for domain in universe.domains:
-            shard = domain_shard[domain.domainid]
-            for host in domain.mta_hosts:
-                assert host.mtaid in shard.notify_mtaids
+    def test_provider_domains_form_one_notify_unit(self, universe):
+        """Every domain of one provider lands in one unit, in schedule
+        order, and no two units share a receiver — receiver state
+        (resolver caches, greylists) must not depend on which units one
+        worker ran before."""
+        units = notify_units(notify_schedule(universe.domains))
+        keys = [u.key for u in units]
+        assert len(keys) == len(set(keys))
+        assert sorted(keys) == sorted({d.provider_key for d in universe.domains})
+        receivers = set()
+        for unit in units:
+            assert {task.domain.provider_key for task in unit.tasks} == {unit.key}
+            times = [task.start_time for task in unit.tasks]
+            assert times == sorted(times)
+            pool = {host.mtaid for task in unit.tasks for host in task.domain.mta_hosts}
+            assert not receivers & pool
+            receivers |= pool
 
-    def test_membership_independent_of_universe_seed(self):
+    def test_units_are_largest_first(self, universe):
+        units = notify_units(notify_schedule(universe.domains))
+        sizes = [len(u.tasks) for u in units]
+        assert sizes == sorted(sizes, reverse=True)
+        assert sizes[0] > sizes[-1]
+        probe = probe_units(probe_schedule(universe, ("t01", "t02", "t03"), seed=5))
+        assert {len(task.order) for u in probe for task in u.tasks} == {3}
+
+    def test_units_are_reproducible(self):
         a = generate_universe(DatasetSpec.notify_email(scale=0.004), seed=7)
         b = generate_universe(DatasetSpec.notify_email(scale=0.004), seed=7)
-        assert [s.mtaids for s in partition_universe(a, 4)] == [
-            s.mtaids for s in partition_universe(b, 4)
+        assert [u.key for u in notify_units(notify_schedule(a.domains))] == [
+            u.key for u in notify_units(notify_schedule(b.domains))
         ]
+
+
+class TestKeypairMemo:
+    def test_one_keygen_per_seed_per_process(self, monkeypatch):
+        calls = []
+        real = campaign_module.generate_keypair
+
+        def counting(bits, seed):
+            calls.append(seed)
+            return real(bits, seed=seed)
+
+        monkeypatch.setattr(campaign_module, "generate_keypair", counting)
+        seed = 424242  # used by no other test, so the memo starts cold
+        first_key, first_config = make_synth_config(seed)
+        second_key, second_config = make_synth_config(seed)
+        assert len(calls) == 1
+        assert first_key.public == second_key.public
+        assert first_config.dkim_key_b64 == second_config.dkim_key_b64
+        # The config is mutable, so every call gets its own.
+        assert first_config is not second_config
 
 
 class TestMergeAlgebra:
@@ -183,79 +229,94 @@ def assert_metrics_equal(serial: MetricsRegistry, merged: MetricsRegistry):
     assert merged.virtual_time == serial.virtual_time
 
 
-class TestDifferentialEquivalence:
-    """Serial vs sharded, K ∈ {1, 2, 4}, both campaign kinds."""
+def assert_notify_equal(serial, obs, merged):
+    assert Counter(map(query_key, merged.result.index.queries)) == Counter(
+        map(query_key, serial.index.queries)
+    )
+    assert [d.domain.domainid for d in merged.result.deliveries] == [
+        d.domain.domainid for d in serial.deliveries
+    ]
+    assert [d.delivery.accepted_with_250 for d in merged.result.deliveries] == [
+        d.delivery.accepted_with_250 for d in serial.deliveries
+    ]
+    assert_metrics_equal(obs.metrics, merged.metrics)
+    analysis_serial = A.analyze_notify(serial)
+    analysis_merged = A.analyze_notify(merged.result)
+    assert (
+        A.validation_breakdown_table(analysis_serial).render()
+        == A.validation_breakdown_table(analysis_merged).render()
+    )
+    assert (
+        A.provider_table(analysis_serial).render()
+        == A.provider_table(analysis_merged).render()
+    )
 
-    @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_notify_campaign(self, universe, serial_notify, shards):
+
+def assert_probe_equal(serial, obs, merged):
+    assert Counter(map(query_key, merged.result.index.queries)) == Counter(
+        map(query_key, serial.index.queries)
+    )
+    assert [
+        (r.mtaid, r.testid, r.stage_reached, r.t_started, r.t_finished)
+        for r in merged.result.results
+    ] == [
+        (r.mtaid, r.testid, r.stage_reached, r.t_started, r.t_finished)
+        for r in serial.results
+    ]
+    assert list(merged.result.probed) == list(serial.probed)
+    assert merged.result.recipient_domain == serial.recipient_domain
+    assert_metrics_equal(obs.metrics, merged.metrics)
+    assert (
+        A.behavior_table(A.behavior_stats(merged.result)).render()
+        == A.behavior_table(A.behavior_stats(serial)).render()
+    )
+
+
+def probe_parallel(universe, workers, use_processes, **extra):
+    return run_probe_sharded(
+        universe,
+        "notifymx",
+        workers=workers,
+        testbed_seed=3,
+        campaign_seed=5,
+        start_time=1e7,
+        use_processes=use_processes,
+        **extra,
+    )
+
+
+FAULTS_SPEC = "udp_loss:0.1,servfail:0.05,banner_delay:0.2:45"
+FAULTS_SEED = 11
+
+
+@pytest.fixture(scope="module")
+def serial_faulted_probe(universe):
+    obs = Observability()
+    plan = FaultPlan.parse(FAULTS_SPEC, seed=FAULTS_SEED)
+    testbed = Testbed(universe, seed=3, obs=obs, faults=plan)
+    result = ProbeCampaign(testbed, "notifymx", seed=5, start_time=1e7).run()
+    return result, testbed, obs
+
+
+class TestDifferentialEquivalence:
+    """Serial vs in-process parallel, W ∈ {1, 2, 3, 4}, both campaign kinds."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_notify_campaign(self, universe, serial_notify, workers):
         serial, _, obs = serial_notify
         merged = run_notify_sharded(
-            universe, shards=shards, workers=1, testbed_seed=3, use_processes=False
+            universe, workers=workers, testbed_seed=3, use_processes=False
         )
-        assert Counter(map(query_key, merged.result.index.queries)) == Counter(
-            map(query_key, serial.index.queries)
-        )
-        assert [d.domain.domainid for d in merged.result.deliveries] == [
-            d.domain.domainid for d in serial.deliveries
-        ]
-        assert [d.delivery.accepted_with_250 for d in merged.result.deliveries] == [
-            d.delivery.accepted_with_250 for d in serial.deliveries
-        ]
-        assert_metrics_equal(obs.metrics, merged.metrics)
-        analysis_serial = A.analyze_notify(serial)
-        analysis_merged = A.analyze_notify(merged.result)
-        assert (
-            A.validation_breakdown_table(analysis_serial).render()
-            == A.validation_breakdown_table(analysis_merged).render()
-        )
-        assert (
-            A.provider_table(analysis_serial).render()
-            == A.provider_table(analysis_merged).render()
-        )
+        assert_notify_equal(serial, obs, merged)
 
-    @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_probe_campaign(self, universe, serial_probe, shards):
-        serial, testbed, obs = serial_probe
-        merged = run_probe_sharded(
-            universe,
-            "notifymx",
-            shards=shards,
-            workers=1,
-            testbed_seed=3,
-            campaign_seed=5,
-            start_time=1e7,
-            use_processes=False,
-        )
-        assert Counter(map(query_key, merged.result.index.queries)) == Counter(
-            map(query_key, serial.index.queries)
-        )
-        assert [
-            (r.mtaid, r.testid, r.stage_reached, r.t_started, r.t_finished)
-            for r in merged.result.results
-        ] == [
-            (r.mtaid, r.testid, r.stage_reached, r.t_started, r.t_finished)
-            for r in serial.results
-        ]
-        assert list(merged.result.probed) == list(serial.probed)
-        assert merged.result.recipient_domain == serial.recipient_domain
-        assert_metrics_equal(obs.metrics, merged.metrics)
-        assert (
-            A.behavior_table(A.behavior_stats(merged.result)).render()
-            == A.behavior_table(A.behavior_stats(serial)).render()
-        )
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_probe_campaign(self, universe, serial_probe, workers):
+        serial, _, obs = serial_probe
+        assert_probe_equal(serial, obs, probe_parallel(universe, workers, False))
 
     def test_tracecheck_verdicts_match(self, universe, serial_probe):
         serial, testbed, _ = serial_probe
-        merged = run_probe_sharded(
-            universe,
-            "notifymx",
-            shards=4,
-            workers=1,
-            testbed_seed=3,
-            campaign_seed=5,
-            start_time=1e7,
-            use_processes=False,
-        )
+        merged = probe_parallel(universe, 4, False)
         serial_check = check_index(serial.index, config=testbed.synth_config)
         merged_check = check_index(merged.result.index, config=merged.synth_config)
         assert serial_check.clean == merged_check.clean
@@ -273,32 +334,113 @@ class TestDifferentialEquivalence:
 
 
 class TestRealProcesses:
+    """Serial vs worker processes pulling from the shared queue."""
+
     def test_multiprocessing_smoke(self, universe, serial_notify):
-        """One true-multiprocessing case: pickling, pool dispatch, and
-        the merge all behave identically to the inline path."""
+        """Pickling, the shared queue, and the merge behave identically
+        to the inline path."""
         serial, _, _ = serial_notify
-        merged = run_notify_sharded(
-            universe, shards=2, workers=2, testbed_seed=3, use_processes=True
-        )
+        merged = run_notify_sharded(universe, workers=2, testbed_seed=3, use_processes=True)
         assert Counter(map(query_key, merged.result.index.queries)) == Counter(
             map(query_key, serial.index.queries)
         )
         assert merged.span_count > 0
 
-    def test_per_shard_reconciliation(self, universe):
-        merged = run_probe_sharded(
-            universe,
-            "notifymx",
-            testids=("t01", "t03"),
-            shards=2,
-            workers=1,
-            testbed_seed=3,
-            campaign_seed=5,
-            start_time=1e7,
-            reconcile=True,
-            use_processes=False,
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_notify_campaign_processes(self, universe, serial_notify, workers):
+        serial, _, obs = serial_notify
+        merged = run_notify_sharded(universe, workers=workers, testbed_seed=3, use_processes=True)
+        assert_notify_equal(serial, obs, merged)
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_probe_campaign_processes(self, universe, serial_probe, workers):
+        serial, _, obs = serial_probe
+        assert_probe_equal(serial, obs, probe_parallel(universe, workers, True))
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_faulted_probe_campaign_processes(self, universe, serial_faulted_probe, workers):
+        serial, _, obs = serial_faulted_probe
+        merged = probe_parallel(
+            universe, workers, True, faults_spec=FAULTS_SPEC, faults_seed=FAULTS_SEED
         )
+        assert_probe_equal(serial, obs, merged)
+        assert merged.metrics.counter_value("faults_injected_total", (("kind", "udp_loss"),))
+
+    def test_per_shard_reconciliation(self, universe):
+        merged = probe_parallel(universe, 2, True, testids=("t01", "t03"), reconcile=True)
         assert merged.reconciled is True
+
+
+def fail_probes_of(monkeypatch, mtaid, action):
+    """Make every probe of ``mtaid`` call ``action`` first.  Worker
+    processes are forked after the patch, so they inherit it."""
+    real = ProbeClient.probe
+
+    def probe(self, address, probe_mtaid, *args):
+        if probe_mtaid == mtaid:
+            action()
+        return real(self, address, probe_mtaid, *args)
+
+    monkeypatch.setattr(ProbeClient, "probe", probe)
+
+
+def boom():
+    raise RuntimeError("injected probe failure")
+
+
+class TestWorkerFailures:
+    """A failed unit or a dead worker fails the call loudly, names the
+    worker slot (and the unit when known), and leaves no worker behind."""
+
+    def _last_probe_unit(self, universe):
+        units = probe_units(probe_schedule(universe, [p.testid for p in POLICIES], seed=5))
+        return len(units) - 1, units[-1].key
+
+    @pytest.mark.parametrize("use_processes", [False, True], ids=["inline", "processes"])
+    def test_failed_probe_unit_is_named(self, universe, monkeypatch, use_processes):
+        index, mtaid = self._last_probe_unit(universe)
+        fail_probes_of(monkeypatch, mtaid, boom)
+        with pytest.raises(ShardError) as caught:
+            probe_parallel(universe, 2, use_processes)
+        assert caught.value.unit == mtaid
+        assert "injected probe failure" in str(caught.value)
+        assert str(caught.value).startswith("worker %d on unit %s" % (caught.value.slot, mtaid))
+        if not use_processes:
+            assert caught.value.slot == index % 2  # the round-robin deal
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("use_processes", [False, True], ids=["inline", "processes"])
+    def test_failed_notify_unit_names_provider(self, universe, monkeypatch, use_processes):
+        unit = notify_units(notify_schedule(universe.domains))[0]
+        doomed = {"operator@%s" % task.domain.name for task in unit.tasks}
+        real = SendingMta.send
+
+        def send(self, message, from_address, to_address, t):
+            if to_address in doomed:
+                raise RuntimeError("injected delivery failure")
+            return real(self, message, from_address, to_address, t)
+
+        monkeypatch.setattr(SendingMta, "send", send)
+        with pytest.raises(ShardError) as caught:
+            run_notify_sharded(universe, workers=2, testbed_seed=3, use_processes=use_processes)
+        assert caught.value.unit == unit.key
+        assert "injected delivery failure" in str(caught.value)
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize(
+        "action, code",
+        [(lambda: os._exit(7), 7), (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL)],
+        ids=["os_exit", "sigkill"],
+    )
+    def test_dead_worker_is_detected(self, universe, monkeypatch, action, code):
+        _, mtaid = self._last_probe_unit(universe)
+        fail_probes_of(monkeypatch, mtaid, action)
+        with pytest.raises(ShardError) as caught:
+            probe_parallel(universe, 2, True)
+        assert caught.value.unit is None
+        assert "exited with code %d before reporting" % code in str(caught.value)
+        assert not multiprocessing.active_children()
 
 
 class TestMergeRawLogs:

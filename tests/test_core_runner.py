@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core import runner
 from repro.core.runner import build_parser, main
+from repro.obs import reconcile
 from repro.core.trace import load_probe_results, load_query_index
 
 
@@ -117,3 +119,58 @@ class TestFaults:
         assert "Fault matrix" in report
         assert "baseline" in report
         assert "banner_absent" in report
+
+
+class TestVerdictsGateExitCode:
+    """An unclean tracecheck or a failed span reconciliation exits 1 —
+    on the serial path and on the merged per-worker path — after every
+    artefact has been written."""
+
+    ARTEFACTS = (
+        "twoweekmx_report.txt",
+        "twoweekmx_queries.jsonl",
+        "twoweekmx_probes.jsonl",
+        "twoweekmx_tracecheck.txt",
+        "twoweekmx_metrics.txt",
+    )
+
+    def _run(self, out, workers):
+        code = main([
+            "--experiment", "twoweekmx", "--scale", "0.002", "--seed", "7",
+            "--out", str(out), "--quiet", "--workers", str(workers),
+        ])
+        for artefact in self.ARTEFACTS:
+            assert (out / artefact).exists(), artefact
+        return code
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "workers"])
+    def test_unclean_tracecheck_exits_nonzero(self, tmp_path, monkeypatch, workers):
+        real = runner.check_index
+
+        def unclean(*args, **kwargs):
+            result = real(*args, **kwargs)
+            result.report.add("TRACE003", "injected finding", subject="mta00000/t01")
+            return result
+
+        monkeypatch.setattr(runner, "check_index", unclean)
+        assert self._run(tmp_path, workers) == 1
+        assert "injected finding" in (tmp_path / "twoweekmx_tracecheck.txt").read_text()
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "workers"])
+    def test_failed_reconciliation_exits_nonzero(self, tmp_path, monkeypatch, workers):
+        real = reconcile.reconcile_spans
+
+        def mismatched(*args, **kwargs):
+            result = real(*args, **kwargs)
+            result.span_counts[("mta-injected", "t01")] = 1
+            return result
+
+        # The serial path calls the runner's import; worker processes
+        # (forked after the patch) import it from its module per call.
+        monkeypatch.setattr(runner, "reconcile_spans", mismatched)
+        monkeypatch.setattr(reconcile, "reconcile_spans", mismatched)
+        assert self._run(tmp_path, workers) == 1
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "workers"])
+    def test_clean_run_exits_zero(self, tmp_path, workers):
+        assert self._run(tmp_path, workers) == 0
