@@ -185,8 +185,8 @@ class Testbed:
 # contacted, when, in what order) and its *execution*.  Schedules are pure
 # functions of (universe, campaign parameters) — no testbed, no RNG state
 # left behind — so a worker process can execute any subset of the
-# coordinator's schedule, in any order (repro.core.parallel), while the
-# serial path executes the whole thing.  Per-item start times are
+# coordinator's schedule, in any order (repro.core.parallel), while a
+# plain run executes the whole thing.  Per-item start times are
 # explicit: item i never inherits timing from item i-1.
 
 

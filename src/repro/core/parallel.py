@@ -30,18 +30,24 @@ busiest one.  Instead each of W worker processes builds one full
 queue, largest first, running them through the ordinary campaign loop;
 it ships back one picklable :class:`ShardResult` (records, raw query
 log, metrics, span count).  :func:`merge_shard_results` reassembles
-outputs content-identical to a serial run whichever worker ran which
-unit, as ``tests/test_core_parallel.py`` proves for W ∈ {1, 2, 3, 4}.
-``use_processes=False`` runs the same worker function in-process on a
-round-robin deal of the units.
+outputs content-identical to a plain campaign run whichever worker ran
+which unit, as ``tests/test_core_parallel.py`` proves for W ∈ {1, 2, 3,
+4}, and attributes the merged query log exactly once.
+
+One worker, or ``use_processes=False``, runs the same worker function
+in-process on a round-robin deal of the units, each job's tasks in
+schedule order.  Span ids follow execution order, so a one-worker run
+is a plain campaign run span for span, and hands its span list back on
+:class:`MergedCampaign`; this is the runner's ``--workers 1``.
 
 The queue is a shared cursor over the job's unit list, set per process
 outside the :class:`ShardJob`: a multiprocessing lock crosses process
 boundaries only by inheritance, and a job must stay picklable.  A failed
 unit or a worker that dies without reporting raises :class:`ShardError`
 naming the worker slot (and the unit, when known); no worker outlives
-the call.  Span objects stay in the workers, which reconcile them
-against their own query logs on request (``reconcile=True``).
+the call.  Span objects never cross a pipe: worker processes
+reconcile them against their own query logs on request
+(``reconcile=True``) and send home only the verdict.
 """
 
 from __future__ import annotations
@@ -70,12 +76,13 @@ from repro.core.datasets import MtaHost, Universe
 from repro.core.policies import POLICIES, policy_by_id
 from repro.core.preflight import preflight_policies
 from repro.core.probe import ProbeResult
-from repro.core.querylog import QueryIndex, attribute_queries
+from repro.core.querylog import AttributionStats, QueryIndex, attribute_queries_with_stats
 from repro.core.synth import SynthConfig
 from repro.dns.server import QueryLogEntry
 from repro.net.faults import FaultPlan
 from repro.obs import NULL_OBS, Observability
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.spans import Span
 
 _NOTIFY_CAMPAIGN = "notify"
 _PROBE_CAMPAIGN = "probe"
@@ -144,8 +151,8 @@ class ShardJob:
     options: Dict[str, object]
     obs_enabled: bool = True
     reconcile: bool = False
-    #: In-process runs only: the unit indices this job runs.  A worker
-    #: process pulls from the shared queue instead.
+    #: In-process runs only: the unit index of each task this job runs,
+    #: in schedule order.  A worker process pulls from the shared queue.
     deal: Optional[Tuple[int, ...]] = None
     # fault injection: the plan travels as (spec, seed) strings — each
     # worker rebuilds an identical FaultPlan, and because plan decisions
@@ -165,30 +172,35 @@ class ShardResult:
     raw_log: List[QueryLogEntry] = field(default_factory=list)
     metrics: Optional[MetricsRegistry] = None
     span_count: int = 0
+    #: The worker's finished spans; emptied before a worker process
+    #: reports, so spans never cross a pipe.
+    spans: List[Span] = field(default_factory=list)
     #: Per-worker span/query-log reconciliation verdict (None if not run).
     reconciled: Optional[bool] = None
 
 
 @dataclass
 class MergedCampaign:
-    """A parallel run's merged output — content-identical to a serial run.
+    """A campaign's merged output — content-identical to a plain run.
 
     ``raw_log`` is the union of the workers' query logs in timestamp
-    order; ``metrics`` is the worker registries merged with
+    order, and ``stats`` accounts for its one attribution (the index on
+    ``result``); ``metrics`` is the worker registries merged with
     campaign-global gauges restored; ``span_count`` sums the workers'
-    span tallies (span objects themselves never leave the workers).
+    span tallies.
     """
 
     result: Union[NotifyEmailResult, ProbeCampaignResult]
     raw_log: List[QueryLogEntry]
+    stats: AttributionStats
     synth_config: SynthConfig
     metrics: Optional[MetricsRegistry]
     span_count: int
     #: False if any worker's span/query-log reconciliation failed;
     #: None when reconciliation was not requested.
     reconciled: Optional[bool] = None
-    #: Probe campaigns only: the coordinator's pre-flight audits.
-    preflight_audits: Dict[str, object] = field(default_factory=dict)
+    #: One-worker runs only: the finished spans, in completion order.
+    spans: Optional[List[Span]] = None
 
 
 def default_workers() -> int:
@@ -224,10 +236,15 @@ def run_shard(job: ShardJob) -> ShardResult:
     current: List[WorkUnit] = []
 
     def pulled() -> Iterator[Task]:
-        for index in job.deal if job.deal is not None else _unit_source:
-            unit = job.units[index]
-            current[:] = [unit]
-            yield from unit.tasks
+        if job.deal is None:  # a worker process: whole units off the queue
+            for index in _unit_source:
+                current[:] = [job.units[index]]
+                yield from job.units[index].tasks
+            return
+        unit_tasks: Dict[int, Iterator[Task]] = {}
+        for index in job.deal:
+            current[:] = [job.units[index]]
+            yield next(unit_tasks.setdefault(index, iter(job.units[index].tasks)))
 
     campaign_class = NotifyEmailCampaign if job.campaign == _NOTIFY_CAMPAIGN else ProbeCampaign
     try:
@@ -239,7 +256,8 @@ def run_shard(job: ShardJob) -> ShardResult:
     result = ShardResult(job.shard.index, list(records), testbed.synth.query_log)
     if job.obs_enabled:
         result.metrics = obs.metrics
-        result.span_count = len(obs.tracer.finished)
+        result.spans = obs.tracer.finished
+        result.span_count = len(result.spans)
         if job.reconcile:
             from repro.obs.reconcile import reconcile_spans
 
@@ -254,7 +272,9 @@ def _worker_main(job: ShardJob, cursor, count: int, conn) -> None:
     global _unit_source
     _unit_source = _shared_cursor(cursor, count)
     try:
-        message = ("ok", run_shard(job))
+        result = run_shard(job)
+        result.spans = []
+        message = ("ok", result)
     except Exception as exc:
         unit = exc.unit if isinstance(exc, ShardError) else None
         message = ("error", (unit, traceback.format_exc()))
@@ -262,15 +282,25 @@ def _worker_main(job: ShardJob, cursor, count: int, conn) -> None:
     conn.close()
 
 
-def _execute(jobs: List[ShardJob], use_processes: bool) -> List[ShardResult]:
-    """Run every job (one per worker slot); results in slot order."""
-    if not jobs:
-        return []
-    count = len(jobs[0].units)
-    if not use_processes or len(jobs) == 1:
-        for job in jobs:
-            job.deal = tuple(range(job.shard.index, count, len(jobs)))
+def _deal(
+    schedule: Union[Sequence[NotifyTask], Sequence[ProbeTask]], units: List[WorkUnit], slots: int
+) -> List[Tuple[int, ...]]:
+    """In-process jobs: the units dealt round-robin over ``slots``, as
+    each job's :attr:`ShardJob.deal` (its tasks in schedule order)."""
+    unit_of = {id(task): index for index, unit in enumerate(units) for task in unit.tasks}
+    deals: List[List[int]] = [[] for _ in range(slots)]
+    for task in schedule:
+        index = unit_of[id(task)]
+        deals[index % slots].append(index)
+    return [tuple(deal) for deal in deals]
+
+
+def _execute(jobs: List[ShardJob]) -> List[ShardResult]:
+    """Run every job (one per worker slot); results in slot order.  Dealt
+    jobs run in this process, the others in one worker process each."""
+    if jobs[0].deal is not None:
         return [run_shard(job) for job in jobs]
+    count = len(jobs[0].units)
     # The default start method (fork on Linux) lets workers inherit the
     # imported package and the memoised key pair; the coordinator starts
     # no threads.  Under spawn everything still works, only slower.
@@ -336,20 +366,22 @@ def merge_shard_results(
     synth_config: SynthConfig,
     name: str = "",
     obs_enabled: bool = True,
-) -> Tuple[Union[NotifyEmailResult, ProbeCampaignResult], List[QueryLogEntry], Optional[MetricsRegistry]]:
-    """Deterministic reduce: worker outputs → serial-identical objects.
+) -> MergedCampaign:
+    """Deterministic reduce: worker outputs → one plain run's objects.
 
     Record lists are re-ordered to the coordinator's schedule (the order
-    the serial path would have produced them in), the raw logs merge by
-    timestamp, and the metrics registries merge with the campaign-global
-    gauges overwritten — workers each recorded their local unit count,
-    but the serial run records the global one.
+    a plain campaign run produces them in), the raw logs merge by
+    timestamp and are attributed once, and the metrics registries merge
+    with the campaign-global gauges overwritten — workers each recorded
+    their local unit count, but a plain run records the global one.
     """
     raw_log = merge_raw_logs([shard.raw_log for shard in shard_results])
-    index = QueryIndex(attribute_queries(raw_log, synth_config))
+    attributed, stats = attribute_queries_with_stats(raw_log, synth_config)
+    index = QueryIndex(attributed)
     metrics = None
     if obs_enabled:
         metrics = MetricsRegistry.merged(s.metrics for s in shard_results if s.metrics is not None)
+    result: Union[NotifyEmailResult, ProbeCampaignResult]
     if campaign == _NOTIFY_CAMPAIGN:
         by_domain: Dict[str, NotifyDelivery] = {}
         for shard in shard_results:
@@ -362,25 +394,36 @@ def merge_shard_results(
         ]
         if metrics is not None:
             metrics.gauge("campaign_domains", len(deliveries), (("campaign", "notifyemail"),))
-        return NotifyEmailResult(deliveries, index), raw_log, metrics
-    by_pair: Dict[Tuple[str, str], ProbeResult] = {}
-    for shard in shard_results:
-        for probe in shard.records:
-            by_pair[(probe.mtaid, probe.testid)] = probe
-    results: List[ProbeResult] = []
-    probed: Dict[str, MtaHost] = {}
-    recipients: Dict[str, str] = {}
-    for task in schedule:
-        probed[task.host.mtaid] = task.host
-        recipients[task.host.mtaid] = task.rcpt_domain
-        for testid in task.order:
-            probe = by_pair.get((task.host.mtaid, testid))
-            if probe is not None:
-                results.append(probe)
-    if metrics is not None:
-        metrics.gauge("campaign_eligible_mtas", len(schedule), (("campaign", name),))
-    merged = ProbeCampaignResult(name, results, index, probed=probed, recipient_domain=recipients)
-    return merged, raw_log, metrics
+        result = NotifyEmailResult(deliveries, index)
+    else:
+        by_pair: Dict[Tuple[str, str], ProbeResult] = {}
+        for shard in shard_results:
+            for probe in shard.records:
+                by_pair[(probe.mtaid, probe.testid)] = probe
+        results: List[ProbeResult] = []
+        probed: Dict[str, MtaHost] = {}
+        recipients: Dict[str, str] = {}
+        for task in schedule:
+            probed[task.host.mtaid] = task.host
+            recipients[task.host.mtaid] = task.rcpt_domain
+            for testid in task.order:
+                probe = by_pair.get((task.host.mtaid, testid))
+                if probe is not None:
+                    results.append(probe)
+        if metrics is not None:
+            metrics.gauge("campaign_eligible_mtas", len(schedule), (("campaign", name),))
+        result = ProbeCampaignResult(name, results, index, probed=probed, recipient_domain=recipients)
+    verdicts = [shard.reconciled for shard in shard_results if shard.reconciled is not None]
+    return MergedCampaign(
+        result=result,
+        raw_log=raw_log,
+        stats=stats,
+        synth_config=synth_config,
+        metrics=metrics,
+        span_count=sum(shard.span_count for shard in shard_results),
+        reconciled=all(verdicts) if verdicts else None,
+        spans=shard_results[0].spans if obs_enabled and len(shard_results) == 1 else None,
+    )
 
 
 def _run_parallel(
@@ -394,25 +437,20 @@ def _run_parallel(
     name: str = "",
     **params,
 ) -> MergedCampaign:
-    """One job per worker slot (never more slots than units), executed
-    and merged."""
-    slots = min(workers if workers is not None else default_workers(), len(units))
+    """One job per worker slot (at least one, never more than units),
+    executed and merged.  One slot always runs in-process."""
+    slots = max(1, min(workers if workers is not None else default_workers(), len(units)))
+    in_process = not use_processes or slots == 1
+    deals = _deal(schedule, units, slots) if in_process else [None] * slots
     jobs = [
-        ShardJob(campaign=campaign, shard=WorkerSlot(index), units=units, obs_enabled=obs, **params)
+        ShardJob(
+            campaign=campaign, shard=WorkerSlot(index), units=units, obs_enabled=obs,
+            deal=deals[index], **params,
+        )
         for index in range(slots)
     ]
-    shard_results = _execute(jobs, use_processes)
-    result, raw_log, metrics = merge_shard_results(
-        campaign, schedule, shard_results, synth_config, name=name, obs_enabled=obs
-    )
-    verdicts = [shard.reconciled for shard in shard_results if shard.reconciled is not None]
-    return MergedCampaign(
-        result=result,
-        raw_log=raw_log,
-        synth_config=synth_config,
-        metrics=metrics,
-        span_count=sum(shard.span_count for shard in shard_results),
-        reconciled=all(verdicts) if verdicts else None,
+    return merge_shard_results(
+        campaign, schedule, _execute(jobs), synth_config, name=name, obs_enabled=obs
     )
 
 
@@ -432,7 +470,7 @@ def run_notify_sharded(
 
     Produces deliveries, an attributed query index, and metrics
     content-identical to ``NotifyEmailCampaign(Testbed(universe,
-    seed=testbed_seed)).run()``.
+    seed=testbed_seed)).run()``; with one worker, the same spans too.
     """
     _, synth_config = make_synth_config(testbed_seed)
     schedule = notify_schedule(universe.domains, spacing=spacing, start_time=start_time)
@@ -474,15 +512,19 @@ def run_probe_sharded(
 
     Produces results, an attributed query index, and metrics
     content-identical to ``ProbeCampaign(Testbed(universe,
-    seed=testbed_seed), name, seed=campaign_seed, ...).run()``.
+    seed=testbed_seed), name, seed=campaign_seed, ...).run()``; with one
+    worker, the same spans too.  ``preflight`` audits the policies once,
+    here, and raises :class:`~repro.core.preflight.PreflightError` when
+    one publishes no SPF record.
     """
     testid_list = tuple(testids) if testids is not None else tuple(p.testid for p in POLICIES)
-    audits = preflight_policies(policy_by_id(t) for t in testid_list) if preflight else {}
+    if preflight:
+        preflight_policies(policy_by_id(t) for t in testid_list)
     _, synth_config = make_synth_config(testbed_seed)
     schedule = probe_schedule(
         universe, testid_list, seed=campaign_seed, stagger=stagger, start_time=start_time
     )
-    merged = _run_parallel(
+    return _run_parallel(
         _PROBE_CAMPAIGN,
         schedule,
         probe_units(schedule),
@@ -506,5 +548,3 @@ def run_probe_sharded(
         faults_spec=faults_spec,
         faults_seed=faults_seed,
     )
-    merged.preflight_audits = audits
-    return merged

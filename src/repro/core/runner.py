@@ -17,17 +17,16 @@ observability pair ``<name>_metrics.txt`` / ``<name>_spans.jsonl``
 and ``notifymx`` share one testbed, the NotifyMX observability artefacts
 are cumulative over both campaigns; see ``OBSERVABILITY.md``.
 
-``--workers N`` (default: one per CPU) runs each campaign over N worker
-processes via :mod:`repro.core.parallel`: each worker pulls MTA units
-(probe campaigns) or provider units (NotifyEmail) from one work queue
-until it is empty; ``--workers 1`` is the classic serial path.  The
-merge layer is deterministic, so every report, trace, tracecheck, and
-metrics artefact is identical whichever worker count produced it, and
-whichever worker ran which unit.  The one exception is
-``<name>_spans.jsonl``: span *objects* stay inside the worker processes
-(each worker has its own ``campaign.run`` root span), so parallel runs
-skip the span dump and instead reconcile spans against the query log per
-worker, inside each worker.
+Every campaign runs on one engine, :mod:`repro.core.parallel`.
+``--workers N`` (default: one per CPU) sets how many workers pull MTA
+units (probe campaigns) or provider units (NotifyEmail) from its work
+queue; ``--workers 1`` is one in-process worker of the same engine, not
+a separate path.  The merge is deterministic and attributes each query
+log once, so every report, trace, tracecheck, and metrics artefact is
+identical whichever worker count produced it, and whichever worker ran
+which unit.  Each worker reconciles its spans against its own query log.
+The one exception is ``<name>_spans.jsonl``: span objects never cross a
+process boundary, so only a one-worker run writes the span dump.
 
 ``--faults SPEC`` threads a deterministic fault-injection plan
 (:mod:`repro.net.faults`) through every layer of the testbed; the plan's
@@ -50,37 +49,33 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Union
+from typing import List, Optional
 
 from repro.core import analysis as A
 from repro.core import trace
 from repro.core.campaign import (
-    NotifyEmailCampaign,
     NotifyEmailResult,
-    ProbeCampaign,
     ProbeCampaignResult,
-    Testbed,
     apply_reputation_effects,
 )
 from repro.core.datasets import DatasetSpec, Universe, generate_universe
 from repro.core.fingerprint import fingerprint_fleet
 from repro.core.parallel import (
+    MergedCampaign,
     default_workers,
     merge_raw_logs,
     run_notify_sharded,
     run_probe_sharded,
 )
 from repro.core.faultmatrix import FAULT_SCENARIOS, run_fault_matrix
-from repro.core.querylog import QueryIndex, attribute_queries_with_stats
+from repro.core.querylog import AttributionStats, QueryIndex, attribute_queries_with_stats
 from repro.core.report import render_histogram
 from repro.core.synth import SynthConfig
-from repro.dns.server import QueryLogEntry
 from repro.lint.tracecheck import check_index
-from repro.net.faults import FaultPlan, derive_fault_seed
-from repro.obs import NULL_OBS, ProgressSink
+from repro.net.faults import derive_fault_seed
+from repro.obs import ProgressSink
 from repro.obs.export import render_metrics_text
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.reconcile import reconcile_spans
 from repro.obs.spans import save_spans
 
 EXPERIMENTS = ("notifyemail", "notifymx", "twoweekmx")
@@ -111,8 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=default_workers(),
-        help="worker processes pulling campaign units from one work queue "
-        "(default: one per CPU; 1 = serial)",
+        help="workers pulling campaign units from one work queue "
+        "(default: one per CPU; 1 = one in-process worker)",
     )
     parser.add_argument(
         "--faults",
@@ -149,41 +144,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 0
 
 
-def _make_faults(args) -> Optional[FaultPlan]:
-    """The run's fault plan, or ``None`` when ``--faults`` was absent.
+def _engine_params(args) -> dict:
+    """The keywords every ``run_*_sharded`` call shares.
 
-    The plan seed is derived from the master seed, so ``--seed`` stays
-    the single reproducibility knob; every worker process re-derives the
-    identical value from the same two strings."""
-    if args.faults is None:
-        return None
-    return FaultPlan.parse(args.faults, seed=derive_fault_seed(args.faults, args.seed))
-
-
-def _fault_shard_params(args) -> dict:
-    """``faults_spec``/``faults_seed`` keywords for the sharded runners.
-
-    The plan crosses the process boundary as two strings; each worker
-    rebuilds an identical plan, and the pure per-event hash draws make
-    its decisions match the serial path exactly."""
-    if not args.faults:
-        return {"faults_spec": "", "faults_seed": 0}
-    return {
-        "faults_spec": args.faults,
-        "faults_seed": derive_fault_seed(args.faults, args.seed),
-    }
+    The fault plan travels as a spec string and a seed derived from the
+    master seed, so ``--seed`` stays the single reproducibility knob;
+    each worker rebuilds an identical plan, and its pure per-event hash
+    draws make the same decisions whichever worker runs a unit."""
+    obs = not args.no_obs
+    params = {"workers": args.workers, "obs": obs, "reconcile": obs}
+    if args.faults:
+        params.update(faults_spec=args.faults, faults_seed=derive_fault_seed(args.faults, args.seed))
+    return params
 
 
-def _make_testbed(args, universe, seed: int) -> Testbed:
-    return Testbed(
-        universe,
-        seed=seed,
-        obs=NULL_OBS if args.no_obs else None,
-        faults=_make_faults(args),
-    )
-
-
-# -- report section builders (shared by the serial and sharded paths) ----
+# -- report section builders ---------------------------------------------
 
 
 def _notifyemail_sections(universe: Universe, result: NotifyEmailResult) -> List[str]:
@@ -237,24 +212,19 @@ def _twoweekmx_sections(universe: Universe, result: ProbeCampaignResult) -> List
 
 
 def _write_experiment(
-    args,
-    name: str,
-    sections: List[str],
-    result: Union[NotifyEmailResult, ProbeCampaignResult],
-    raw_log: Sequence[QueryLogEntry],
-    config: SynthConfig,
-    sink: ProgressSink,
-    write_obs: Callable[[], bool],
+    args, name: str, sections: List[str], merged: MergedCampaign, sink: ProgressSink
 ) -> bool:
-    """Write one experiment's report, traces, tracecheck, and (through
-    ``write_obs``) observability artefacts; False if a self-check failed."""
+    """Write one experiment's report, traces, tracecheck, and
+    observability artefacts; False if a self-check failed."""
     report = args.out / ("%s_report.txt" % name)
     _write(report, sections)
+    result = merged.result
     trace.save_query_log(result.index.queries, args.out / ("%s_queries.jsonl" % name))
     if isinstance(result, ProbeCampaignResult):
         trace.save_probe_results(result.results, args.out / ("%s_probes.jsonl" % name))
-    clean = _postflight(raw_log, config, args.out / ("%s_tracecheck.txt" % name), sink)
-    clean &= write_obs()
+    tracecheck = args.out / ("%s_tracecheck.txt" % name)
+    clean = _postflight(result.index, merged.stats, merged.synth_config, tracecheck, sink)
+    clean &= _write_obs(merged, args.out, name, sink)
     sink.say("  -> %s" % report)
     return clean
 
@@ -263,126 +233,71 @@ def _run_notify_family(args, wanted, sink: ProgressSink) -> bool:
     """Run the notify experiments; False if any self-check failed."""
     sink.say("generating NotifyEmail universe (scale %.3f) ..." % args.scale)
     universe = generate_universe(DatasetSpec.notify_email(scale=args.scale), seed=args.seed)
-    if args.workers > 1:
-        return _run_notify_family_sharded(args, wanted, sink, universe)
-    testbed = _make_testbed(args, universe, seed=args.seed + 1)
     clean = True
+    notify: Optional[MergedCampaign] = None
 
     if "notifyemail" in wanted:
-        sink.say("running NotifyEmail: one signed notification per domain ...")
-        result = NotifyEmailCampaign(testbed).run()
+        sink.say("running NotifyEmail over %d worker(s): one signed notification per domain ..."
+                 % args.workers)
+        notify = run_notify_sharded(universe, testbed_seed=args.seed + 1, **_engine_params(args))
+        assert isinstance(notify.result, NotifyEmailResult)
         clean &= _write_experiment(
-            args, "notifyemail", _notifyemail_sections(universe, result), result,
-            testbed.synth.query_log, testbed.synth_config, sink,
-            lambda: _write_obs(testbed, args.out, "notifyemail", sink),
+            args, "notifyemail", _notifyemail_sections(universe, notify.result), notify, sink
         )
 
     if "notifymx" in wanted:
-        sink.say("running NotifyMX: probing the same MTAs with soured reputation ...")
-        apply_reputation_effects(universe, seed=args.seed + 2)
-        probe_result = ProbeCampaign(testbed, "NotifyMX", start_time=1e7, seed=args.seed).run()
-        clean &= _write_experiment(
-            args, "notifymx", _notifymx_sections(universe, probe_result), probe_result,
-            testbed.synth.query_log, testbed.synth_config, sink,
-            lambda: _write_obs(testbed, args.out, "notifymx", sink),
-        )
-    return clean
-
-
-def _run_notify_family_sharded(args, wanted, sink: ProgressSink, universe: Universe) -> bool:
-    """The notify family over worker processes.
-
-    Mirrors the serial path's cumulative-testbed semantics: the NotifyMX
-    artefacts (query trace, tracecheck, metrics) cover the union of both
-    campaigns' traffic, exactly as one shared testbed would have logged.
-    """
-    obs_enabled = not args.no_obs
-    clean = True
-    notify_raw: List[QueryLogEntry] = []
-    notify_metrics: Optional[MetricsRegistry] = None
-
-    if "notifyemail" in wanted:
-        sink.say("running NotifyEmail over %d workers ..." % args.workers)
-        merged = run_notify_sharded(
-            universe,
-            workers=args.workers,
-            testbed_seed=args.seed + 1,
-            obs=obs_enabled,
-            reconcile=obs_enabled,
-            **_fault_shard_params(args),
-        )
-        notify_raw = merged.raw_log
-        notify_metrics = merged.metrics
-        result = merged.result
-        assert isinstance(result, NotifyEmailResult)
-        clean &= _write_experiment(
-            args, "notifyemail", _notifyemail_sections(universe, result), result,
-            merged.raw_log, merged.synth_config, sink,
-            lambda: _write_obs_merged(merged.metrics, merged.reconciled, args.out, "notifyemail", sink),
-        )
-
-    if "notifymx" in wanted:
-        sink.say("running NotifyMX over %d workers ..." % args.workers)
+        sink.say("running NotifyMX over %d worker(s): probing the same MTAs with soured reputation ..."
+                 % args.workers)
         apply_reputation_effects(universe, seed=args.seed + 2)
         merged = run_probe_sharded(
             universe,
             "NotifyMX",
-            workers=args.workers,
             testbed_seed=args.seed + 1,
             campaign_seed=args.seed,
             start_time=1e7,
-            obs=obs_enabled,
-            reconcile=obs_enabled,
-            **_fault_shard_params(args),
+            **_engine_params(args),
         )
-        probe_result = merged.result
-        assert isinstance(probe_result, ProbeCampaignResult)
-        # The serial path's NotifyMX artefacts are cumulative over the
-        # shared testbed; reproduce that from the phases' merged logs.
-        cumulative_raw = merge_raw_logs([notify_raw, merged.raw_log])
-        probe_result.index = QueryIndex(attribute_queries_with_stats(cumulative_raw, merged.synth_config)[0])
-        cumulative_metrics = merged.metrics
-        if obs_enabled and notify_metrics is not None and merged.metrics is not None:
-            cumulative_metrics = MetricsRegistry.merged([notify_metrics, merged.metrics])
+        if notify is not None:
+            _accumulate(notify, merged)
+        assert isinstance(merged.result, ProbeCampaignResult)
         clean &= _write_experiment(
-            args, "notifymx", _notifymx_sections(universe, probe_result), probe_result,
-            cumulative_raw, merged.synth_config, sink,
-            lambda: _write_obs_merged(cumulative_metrics, merged.reconciled, args.out, "notifymx", sink),
+            args, "notifymx", _notifymx_sections(universe, merged.result), merged, sink
         )
     return clean
+
+
+def _accumulate(notify: MergedCampaign, notifymx: MergedCampaign) -> None:
+    """Make ``notifymx`` cumulative over both notify campaigns, as if one
+    testbed had run them back to back (see ``OBSERVABILITY.md``): one
+    attribution of the merged query logs serves the index and the
+    tracecheck, the metrics merge, and the NotifyMX spans follow the
+    NotifyEmail spans with their ids shifted past the first phase's."""
+    notifymx.raw_log = merge_raw_logs([notify.raw_log, notifymx.raw_log])
+    attributed, notifymx.stats = attribute_queries_with_stats(notifymx.raw_log, notifymx.synth_config)
+    notifymx.result.index = QueryIndex(attributed)
+    if notify.metrics is not None and notifymx.metrics is not None:
+        notifymx.metrics = MetricsRegistry.merged([notify.metrics, notifymx.metrics])
+    if notify.spans is not None and notifymx.spans is not None:
+        offset = max((span.span_id for span in notify.spans), default=0)
+        for span in notifymx.spans:
+            span.span_id += offset
+            if span.parent_id is not None:
+                span.parent_id += offset
+        notifymx.spans = notify.spans + notifymx.spans
 
 
 def _run_twoweekmx(args, sink: ProgressSink) -> bool:
     """Run TwoWeekMX; False if any self-check failed."""
     sink.say("generating TwoWeekMX universe (scale %.3f) ..." % args.scale)
     universe = generate_universe(DatasetSpec.two_week_mx(scale=args.scale), seed=args.seed + 3)
-    if args.workers > 1:
-        sink.say("running TwoWeekMX probe campaign over %d workers ..." % args.workers)
-        obs_enabled = not args.no_obs
-        merged = run_probe_sharded(
-            universe,
-            "TwoWeekMX",
-            workers=args.workers,
-            testbed_seed=args.seed + 4,
-            campaign_seed=args.seed,
-            obs=obs_enabled,
-            reconcile=obs_enabled,
-            **_fault_shard_params(args),
-        )
-        result = merged.result
-        assert isinstance(result, ProbeCampaignResult)
-        return _write_experiment(
-            args, "twoweekmx", _twoweekmx_sections(universe, result), result,
-            merged.raw_log, merged.synth_config, sink,
-            lambda: _write_obs_merged(merged.metrics, merged.reconciled, args.out, "twoweekmx", sink),
-        )
-    testbed = _make_testbed(args, universe, seed=args.seed + 4)
-    sink.say("running TwoWeekMX probe campaign ...")
-    result = ProbeCampaign(testbed, "TwoWeekMX", seed=args.seed).run()
+    sink.say("running TwoWeekMX probe campaign over %d worker(s) ..." % args.workers)
+    merged = run_probe_sharded(
+        universe, "TwoWeekMX", testbed_seed=args.seed + 4, campaign_seed=args.seed,
+        **_engine_params(args),
+    )
+    assert isinstance(merged.result, ProbeCampaignResult)
     return _write_experiment(
-        args, "twoweekmx", _twoweekmx_sections(universe, result), result,
-        testbed.synth.query_log, testbed.synth_config, sink,
-        lambda: _write_obs(testbed, args.out, "twoweekmx", sink),
+        args, "twoweekmx", _twoweekmx_sections(universe, merged.result), merged, sink
     )
 
 
@@ -400,14 +315,12 @@ def _run_faultmatrix(args, sink: ProgressSink) -> None:
 
 
 def _postflight(
-    entries: Sequence[QueryLogEntry], config: SynthConfig, path: Path, sink: ProgressSink
+    index: QueryIndex, stats: AttributionStats, config: SynthConfig, path: Path, sink: ProgressSink
 ) -> bool:
-    """Diff a raw query log against the policy footprints; the written
-    report is an artefact like any other.  Serial callers pass the
-    testbed's cumulative log, sharded callers the merged one.  Returns
-    whether the trace was clean."""
-    attributed, stats = attribute_queries_with_stats(entries, config)
-    result = check_index(QueryIndex(attributed), config=config, stats=stats)
+    """Diff an attributed query log against the policy footprints; the
+    written report is an artefact like any other.  Returns whether the
+    trace was clean."""
+    result = check_index(index, config=config, stats=stats)
     header = "tracecheck: %d queries over %d (mtaid, testid) pairs" % (
         result.queries_checked,
         result.pairs_checked,
@@ -419,51 +332,23 @@ def _postflight(
     return result.clean
 
 
-def _write_obs(testbed: Testbed, out: Path, name: str, sink: ProgressSink) -> bool:
-    """Export the testbed's cumulative metrics and spans (no-op under
-    ``--no-obs``), then reconcile spans against the attributed query log
-    as a second, independent witness of what the campaign did.  Returns
-    False only on a reconciliation mismatch."""
-    obs = testbed.obs
-    if not obs.enabled:
+def _write_obs(merged: MergedCampaign, out: Path, name: str, sink: ProgressSink) -> bool:
+    """Export the campaign's metrics and, from a one-worker run, its span
+    dump (no-op under ``--no-obs``).  Every worker reconciled its spans
+    against its own query log, a second, independent witness of what the
+    campaign did; returns False only when one of them mismatched."""
+    if merged.metrics is None:
         return True
     metrics_path = out / ("%s_metrics.txt" % name)
-    _write(metrics_path, [render_metrics_text(obs.metrics, header="%s metrics" % name)])
-    spans_path = out / ("%s_spans.jsonl" % name)
-    count = save_spans(obs.tracer.finished, spans_path)
-    sink.say("  -> %s (%d series), %s (%d spans)"
-             % (metrics_path, len(obs.metrics), spans_path, count))
-    verdict = reconcile_spans(obs.tracer.finished, testbed.query_index(), testbed.synth_config)
-    if not verdict.matched:
-        sink.warn("  !! span/query-log reconciliation mismatch:\n%s" % verdict.render_text())
-    return verdict.matched
-
-
-def _write_obs_merged(
-    metrics: Optional[MetricsRegistry],
-    reconciled: Optional[bool],
-    out: Path,
-    name: str,
-    sink: ProgressSink,
-) -> bool:
-    """Export a parallel run's merged metrics (no-op under ``--no-obs``).
-
-    Span objects never left the worker processes, so there is no
-    ``<name>_spans.jsonl`` here; each worker instead reconciled its own
-    spans against its own query log, and ``reconciled`` reports the
-    conjunction of those per-worker verdicts.  Returns False only when
-    that conjunction failed."""
-    if metrics is None:
-        return True
-    metrics_path = out / ("%s_metrics.txt" % name)
-    _write(metrics_path, [render_metrics_text(metrics, header="%s metrics" % name)])
-    sink.say(
-        "  -> %s (%d series); spans reconciled per worker, no span dump"
-        % (metrics_path, len(metrics))
-    )
-    if reconciled is False:
+    _write(metrics_path, [render_metrics_text(merged.metrics, header="%s metrics" % name)])
+    spans = "spans reconciled per worker, no span dump"
+    if merged.spans is not None:
+        spans_path = out / ("%s_spans.jsonl" % name)
+        spans = "%s (%d spans)" % (spans_path, save_spans(merged.spans, spans_path))
+    sink.say("  -> %s (%d series), %s" % (metrics_path, len(merged.metrics), spans))
+    if merged.reconciled is False:
         sink.warn("  !! span/query-log reconciliation mismatch in at least one worker")
-    return reconciled is not False
+    return merged.reconciled is not False
 
 
 def _write(path: Path, sections: List[str]) -> None:

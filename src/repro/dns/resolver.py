@@ -386,7 +386,7 @@ class Resolver:
                 return None, t_send + timeout, AnswerStatus.TIMEOUT, False
             try:
                 reply = wire.from_wire(reply_bytes)
-            except Exception:
+            except wire.WireError:
                 span.set(outcome="badreply").end(t_reply)
                 return None, t_reply, AnswerStatus.SERVFAIL, True
             if reply.msg_id != msg_id:
@@ -444,7 +444,7 @@ class Resolver:
             (length,) = struct.unpack("!H", reply_framed[:2])
             try:
                 reply = wire.from_wire(reply_framed[2 : 2 + length])
-            except Exception:
+            except wire.WireError:
                 span.set(outcome="badreply").end(t_reply)
                 return None, t_reply, AnswerStatus.SERVFAIL, True
             span.set(outcome="ok").end(t_reply)

@@ -161,7 +161,7 @@ class AuthoritativeServer:
     def _handle(self, payload: bytes, client_ip: str, transport: str, t_arrival: float) -> Tuple[bytes, float]:
         try:
             query = wire.from_wire(payload)
-        except Exception:
+        except wire.WireError:
             # Unparseable query: a real server answers FORMERR with id 0.
             error = Message()
             error.flags.qr = True

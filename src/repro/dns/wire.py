@@ -13,7 +13,7 @@ import struct
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
-from repro.dns.errors import WireError
+from repro.dns.errors import NameError_, WireError
 from repro.dns.message import Flags, Message, Question
 from repro.dns.name import Name
 from repro.dns.rdata import (
@@ -290,42 +290,47 @@ def to_wire(message: Message) -> bytes:
 
 
 def from_wire(data: bytes) -> Message:
-    """Parse wire-format bytes into a :class:`~repro.dns.message.Message`."""
+    """Parse wire-format bytes into a :class:`~repro.dns.message.Message`.
+
+    Total over ``bytes``: every malformed input raises
+    :class:`~repro.dns.errors.WireError` and nothing else, so callers at
+    the trust boundary catch exactly that.
+    """
     decoder = _Decoder(data)
-    msg_id = decoder.u16()
-    flags = Flags.from_int(decoder.u16())
-    qdcount = decoder.u16()
-    ancount = decoder.u16()
-    nscount = decoder.u16()
-    arcount = decoder.u16()
-    message = Message(msg_id=msg_id, flags=flags)
-    for _ in range(qdcount):
-        qname = decoder.name()
-        rdtype = decoder.u16()
-        rdclass = decoder.u16()
-        try:
-            question = Question(qname, RdataType(rdtype), Rclass(rdclass))
-        except ValueError as exc:
-            raise WireError(str(exc)) from exc
-        message.question.append(question)
-    for section, count in (
-        (message.answer, ancount),
-        (message.authority, nscount),
-        (message.additional, arcount),
-    ):
-        for _ in range(count):
-            name = decoder.name()
+    try:
+        msg_id = decoder.u16()
+        flags = Flags.from_int(decoder.u16())
+        qdcount = decoder.u16()
+        ancount = decoder.u16()
+        nscount = decoder.u16()
+        arcount = decoder.u16()
+        message = Message(msg_id=msg_id, flags=flags)
+        for _ in range(qdcount):
+            qname = decoder.name()
             rdtype = decoder.u16()
             rdclass = decoder.u16()
-            ttl = decoder.u32()
-            rdlength = decoder.u16()
-            if rdtype == OPT_TYPE:
-                # EDNS0: the class field is the advertised payload size.
-                message.edns_payload = rdclass
-                decoder.raw(rdlength)  # skip any options
-                continue
-            rdata = _decode_rdata(decoder, rdtype, rdlength)
-            section.append(ResourceRecord(name, ttl, rdata))
+            message.question.append(Question(qname, RdataType(rdtype), Rclass(rdclass)))
+        for section, count in (
+            (message.answer, ancount),
+            (message.authority, nscount),
+            (message.additional, arcount),
+        ):
+            for _ in range(count):
+                name = decoder.name()
+                rdtype = decoder.u16()
+                rdclass = decoder.u16()
+                ttl = decoder.u32()
+                rdlength = decoder.u16()
+                if rdtype == OPT_TYPE:
+                    # EDNS0: the class field is the advertised payload size.
+                    message.edns_payload = rdclass
+                    decoder.raw(rdlength)  # skip any options
+                    continue
+                rdata = _decode_rdata(decoder, rdtype, rdlength)
+                section.append(ResourceRecord(name, ttl, rdata))
+    except (ValueError, NameError_) as exc:
+        # Unknown codes, non-ASCII labels, empty TXT rdata, over-long names.
+        raise WireError("%s: %s" % (type(exc).__name__, exc)) from exc
     return message
 
 

@@ -28,7 +28,9 @@ from repro.core.campaign import (
     probe_schedule,
 )
 from repro.core.datasets import DatasetSpec, generate_universe, stable_hash64
-from repro.core.policies import POLICIES
+from repro.core import parallel as parallel_module
+from repro.core.policies import POLICIES, TestPolicy
+from repro.core.preflight import PreflightError
 from repro.core.probe import ProbeClient
 from repro.core.parallel import (
     ShardError,
@@ -370,6 +372,35 @@ class TestRealProcesses:
     def test_per_shard_reconciliation(self, universe):
         merged = probe_parallel(universe, 2, True, testids=("t01", "t03"), reconcile=True)
         assert merged.reconciled is True
+        # Spans never cross a pipe: only the verdicts and tallies do.
+        assert merged.spans is None and merged.span_count > 0
+
+
+def span_key(span):
+    return (span.span_id, span.parent_id, span.name, span.t_start, span.t_end, span.attrs)
+
+
+class TestOneWorker:
+    """One worker runs in-process and is a plain campaign run, spans too."""
+
+    def test_notify_spans_match_serial(self, universe, serial_notify):
+        _, _, obs = serial_notify
+        merged = run_notify_sharded(universe, workers=1, testbed_seed=3)
+        assert list(map(span_key, merged.spans)) == list(map(span_key, obs.tracer.finished))
+
+    def test_probe_spans_match_serial(self, universe, serial_probe):
+        _, _, obs = serial_probe
+        merged = probe_parallel(universe, 1, True)
+        assert list(map(span_key, merged.spans)) == list(map(span_key, obs.tracer.finished))
+
+    def test_several_in_process_workers_return_no_spans(self, universe):
+        assert run_notify_sharded(universe, workers=2, testbed_seed=3, use_processes=False).spans is None
+
+    def test_preflight_still_rejects_a_policy_without_spf(self, universe, monkeypatch):
+        broken = TestPolicy("tx", "no_spf", "publishes nothing", {(): [("A", "192.0.2.1")]})
+        monkeypatch.setattr(parallel_module, "policy_by_id", lambda testid: broken)
+        with pytest.raises(PreflightError, match="tx"):
+            probe_parallel(universe, 1, False, testids=("tx",))
 
 
 def fail_probes_of(monkeypatch, mtaid, action):

@@ -2,9 +2,17 @@
 
 import pytest
 
-from repro.core import runner
+from repro.core import parallel, querylog, runner
+from repro.core.campaign import (
+    NotifyEmailCampaign,
+    ProbeCampaign,
+    Testbed,
+    apply_reputation_effects,
+)
+from repro.core.datasets import DatasetSpec, generate_universe
 from repro.core.runner import build_parser, main
 from repro.obs import reconcile
+from repro.obs.spans import save_spans
 from repro.core.trace import load_probe_results, load_query_index
 
 
@@ -123,7 +131,7 @@ class TestFaults:
 
 class TestVerdictsGateExitCode:
     """An unclean tracecheck or a failed span reconciliation exits 1 —
-    on the serial path and on the merged per-worker path — after every
+    with one in-process worker and with worker processes — after every
     artefact has been written."""
 
     ARTEFACTS = (
@@ -165,12 +173,96 @@ class TestVerdictsGateExitCode:
             result.span_counts[("mta-injected", "t01")] = 1
             return result
 
-        # The serial path calls the runner's import; worker processes
-        # (forked after the patch) import it from its module per call.
-        monkeypatch.setattr(runner, "reconcile_spans", mismatched)
+        # Every worker, in-process or forked after the patch, imports it
+        # from its module per call.
         monkeypatch.setattr(reconcile, "reconcile_spans", mismatched)
         assert self._run(tmp_path, workers) == 1
 
     @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "workers"])
     def test_clean_run_exits_zero(self, tmp_path, workers):
         assert self._run(tmp_path, workers) == 0
+
+
+class TestOneEngine:
+    """``--workers 1`` is one in-process worker of the parallel engine."""
+
+    SCALE, SEED = 0.003, 2021
+
+    def test_span_dumps_match_a_direct_library_run(self, tmp_path):
+        """Span ids follow execution order, so this fails if the one
+        worker runs its tasks out of schedule order; the NotifyMX dump is
+        cumulative, as from one testbed shared by both notify campaigns."""
+        out, direct = tmp_path / "runner", tmp_path / "direct"
+        direct.mkdir()
+        code = main([
+            "--experiment", "all", "--scale", str(self.SCALE), "--seed", str(self.SEED),
+            "--out", str(out), "--quiet", "--workers", "1",
+        ])
+        assert code == 0
+
+        seed = self.SEED
+        universe = generate_universe(DatasetSpec.notify_email(scale=self.SCALE), seed=seed)
+        testbed = Testbed(universe, seed=seed + 1)
+        NotifyEmailCampaign(testbed).run()
+        save_spans(testbed.obs.tracer.finished, direct / "notifyemail_spans.jsonl")
+        apply_reputation_effects(universe, seed=seed + 2)
+        ProbeCampaign(testbed, "NotifyMX", start_time=1e7, seed=seed).run()
+        save_spans(testbed.obs.tracer.finished, direct / "notifymx_spans.jsonl")
+        universe = generate_universe(DatasetSpec.two_week_mx(scale=self.SCALE), seed=seed + 3)
+        testbed = Testbed(universe, seed=seed + 4)
+        ProbeCampaign(testbed, "TwoWeekMX", seed=seed).run()
+        save_spans(testbed.obs.tracer.finished, direct / "twoweekmx_spans.jsonl")
+
+        for name in ("notifyemail", "notifymx", "twoweekmx"):
+            dump = "%s_spans.jsonl" % name
+            assert (out / dump).read_bytes() == (direct / dump).read_bytes(), dump
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "workers"])
+    def test_one_coordinator_attribution_per_experiment(self, tmp_path, monkeypatch, workers):
+        """The merge attributes each campaign's query log once; NotifyMX
+        adds one attribution of the cumulative log, which its index and
+        tracecheck share.  Attributions inside a worker do not count."""
+        log = []
+        in_worker = []
+        real_attribute = querylog.attribute_queries_with_stats
+        real_run_shard = parallel.run_shard
+        real_notify, real_probe = runner.run_notify_sharded, runner.run_probe_sharded
+
+        def attribute(*args, **kwargs):
+            if not in_worker:
+                log.append("attribute")
+            return real_attribute(*args, **kwargs)
+
+        def run_shard(job):
+            in_worker.append(job)
+            try:
+                return real_run_shard(job)
+            finally:
+                in_worker.pop()
+
+        def run_notify(*args, **kwargs):
+            log.append("notifyemail")
+            return real_notify(*args, **kwargs)
+
+        def run_probe(universe, name, **kwargs):
+            log.append(name.lower())
+            return real_probe(universe, name, **kwargs)
+
+        for module in (querylog, parallel, runner):
+            monkeypatch.setattr(module, "attribute_queries_with_stats", attribute)
+        monkeypatch.setattr(parallel, "run_shard", run_shard)
+        monkeypatch.setattr(runner, "run_notify_sharded", run_notify)
+        monkeypatch.setattr(runner, "run_probe_sharded", run_probe)
+        code = main([
+            "--experiment", "all", "--scale", "0.002", "--seed", "7",
+            "--out", str(tmp_path), "--quiet", "--workers", str(workers),
+        ])
+        assert code == 0
+        counts = {}
+        for entry in log:
+            if entry == "attribute":
+                counts[experiment] += 1
+            else:
+                experiment = entry
+                counts[experiment] = 0
+        assert counts == {"notifyemail": 1, "notifymx": 2, "twoweekmx": 1}

@@ -11,9 +11,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dmarc.record import DmarcRecord
+from repro.dns import wire
 from repro.dns.cache import TtlCache
+from repro.dns.errors import WireError
+from repro.dns.message import Flags, Message, Question
 from repro.dns.name import Name
-from repro.dns.rdata import RdataType
+from repro.dns.rdata import (
+    AAAARecord,
+    ARecord,
+    CnameRecord,
+    MxRecord,
+    NsRecord,
+    PtrRecord,
+    Rcode,
+    RdataType,
+    ResourceRecord,
+    SoaRecord,
+    TxtRecord,
+)
 from repro.spf.errors import SpfSyntaxError
 from repro.spf.macros import MacroContext, expand_macros
 from repro.spf.parser import parse_record
@@ -213,3 +228,79 @@ def test_ttl_cache_never_serves_stale(operations):
                 expiry, value = expiry_value
                 assert got == value
                 assert now < expiry
+
+
+# -- DNS wire codec ----------------------------------------------------------
+
+_dns_name = st.lists(
+    st.text(alphabet=string.ascii_letters + string.digits + "-_", min_size=1, max_size=12),
+    max_size=4,
+).map(Name)
+_u32 = st.integers(0, 2**32 - 1)
+_rdata = st.one_of(
+    st.builds(ARecord, _ipv4),
+    st.builds(lambda n: AAAARecord("2001:db8::%x" % n), st.integers(0, 0xFFFF)),
+    st.builds(NsRecord, _dns_name),
+    st.builds(CnameRecord, _dns_name),
+    st.builds(PtrRecord, _dns_name),
+    st.builds(MxRecord, st.integers(0, 0xFFFF), _dns_name),
+    st.builds(TxtRecord, st.lists(st.text(string.printable, max_size=40), min_size=1, max_size=3)),
+    st.builds(SoaRecord, _dns_name, _dns_name, _u32, _u32, _u32, _u32, _u32),
+)
+_records = st.lists(st.builds(ResourceRecord, _dns_name, _u32, _rdata), max_size=3)
+_message = st.builds(
+    Message,
+    msg_id=st.integers(0, 0xFFFF),
+    flags=st.builds(
+        Flags,
+        qr=st.booleans(),
+        aa=st.booleans(),
+        tc=st.booleans(),
+        rd=st.booleans(),
+        ra=st.booleans(),
+        opcode=st.integers(0, 15),
+        rcode=st.sampled_from(Rcode),
+    ),
+    question=st.lists(st.builds(Question, _dns_name, st.sampled_from(RdataType)), max_size=2),
+    answer=_records,
+    authority=_records,
+    additional=_records,
+    edns_payload=st.none() | st.integers(0, 0xFFFF),
+)
+
+
+def _corrupted(message, position, value):
+    data = bytearray(wire.to_wire(message))
+    data[position % len(data)] = value
+    return bytes(data)
+
+
+# Random octets, a header with small section counts over random octets,
+# and valid messages with one octet overwritten.
+_wire_input = st.one_of(
+    st.binary(max_size=80),
+    st.builds(
+        lambda head, counts, body: head + b"".join(n.to_bytes(2, "big") for n in counts) + body,
+        st.binary(min_size=4, max_size=4),
+        st.lists(st.integers(0, 3), min_size=4, max_size=4),
+        st.binary(max_size=68),
+    ),
+    st.builds(_corrupted, _message, st.integers(0, 2**16), st.integers(0, 255)),
+)
+
+
+@settings(max_examples=300)
+@given(_message)
+def test_wire_roundtrip(message):
+    """decode(encode(m)) == m, compression pointers included."""
+    assert wire.from_wire(wire.to_wire(message)) == message
+
+
+@settings(max_examples=500)
+@given(_wire_input)
+def test_wire_decode_total(data):
+    """Arbitrary octets either decode or raise WireError — nothing else."""
+    try:
+        wire.from_wire(data)
+    except WireError:
+        pass
