@@ -9,7 +9,7 @@ campaign runners, and the analyses that regenerate every table and figure.
 
 from repro.core import trace
 from repro.core.asmap import AsInfo, AsMap
-from repro.core.assess import DomainAssessment, assess_domain, lint_spf_record
+from repro.core.assess import DomainAssessment, assess_domain
 from repro.core.compare import PAPER_REFERENCE, Scorecard, build_scorecard
 from repro.core.campaign import (
     NotifyEmailCampaign,
@@ -60,6 +60,5 @@ __all__ = [
     "trace",
     "fingerprint_fleet",
     "generate_universe",
-    "lint_spf_record",
     "policy_by_id",
 ]

@@ -4,11 +4,13 @@
     Web-based tool available for comprehensively assessing SPF, DKIM, and
     DMARC and invite users with legitimate addresses to try the tool."
 
-This module is that assessor's engine: point it at a domain (through any
-resolver in the simulated world) and it audits the *sender side* of the
-three mechanisms — record presence, syntax, the RFC 7208 processing
-limits a policy will cost its validators, DKIM key health, and DMARC
-policy strength — then grades the deployment.
+This module is that assessor: point it at a domain (through any resolver
+in the simulated world) and it audits the *sender side* of the three
+mechanisms — the SPF term graph and the RFC 7208 limits it will cost
+validators, each probed DKIM selector's key, and the DMARC record — then
+grades the deployment.  Every rule is a :mod:`repro.lint` rule; this
+module supplies only a record source that resolves each lookup, so
+virtual time advances with every query the audit makes.
 
 Complementary to the measurement system: campaigns measure *validators*,
 the assessor audits *publishers*.
@@ -16,61 +18,46 @@ the assessor audits *publishers*.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple, Union
 
-from repro.dkim.errors import DkimError
-from repro.dkim.rsa import RsaPublicKey
-from repro.dkim.signature import KeyRecord
-from repro.dmarc.record import DmarcPolicy, DmarcRecord, DmarcRecordError, looks_like_dmarc
+from repro.dmarc.record import DmarcPolicy, DmarcRecord
+from repro.dns.name import Name
 from repro.dns.rdata import RdataType
-from repro.dns.resolver import Resolver
-from repro.spf.errors import SpfSyntaxError
-from repro.spf.parser import parse_record
-from repro.spf.terms import MechanismKind, Qualifier, looks_like_spf
+from repro.dns.resolver import AnswerStatus, Resolver
+from repro.lint.diagnostics import LintReport
+from repro.lint.dkimlint import audit_key_record, key_is_usable
+from repro.lint.source import RecordSource, SourceAnswer, SourceStatus
+from repro.lint.spfgraph import SpfAudit, audit_spf_domain
+from repro.lint.zonelint import _check_dmarc
+
+#: Resolver outcomes as record-source outcomes.  SERVFAIL, TIMEOUT and
+#: UNREACHABLE are absent: a failed lookup says nothing about the name.
+_SOURCE_STATUS = {
+    AnswerStatus.SUCCESS: SourceStatus.FOUND,
+    AnswerStatus.NODATA: SourceStatus.NODATA,
+    AnswerStatus.NXDOMAIN: SourceStatus.NXDOMAIN,
+}
 
 
-class Severity(enum.IntEnum):
-    INFO = 0
-    WARNING = 1
-    ERROR = 2
+class ResolverRecordSource(RecordSource):
+    """A record source that resolves every lookup, starting at time ``t``.
 
+    ``t`` advances to each query's completion; ``last_status`` keeps the
+    resolver's verdict on the latest query, so a caller can tell "no
+    record" from "lookup failed".
+    """
 
-@dataclass
-class Finding:
-    """One audit observation."""
+    def __init__(self, resolver: Resolver, t: float) -> None:
+        self.resolver = resolver
+        self.t = t
+        self.last_status: Optional[AnswerStatus] = None
 
-    severity: Severity
-    mechanism: str  # "spf" | "dkim" | "dmarc"
-    message: str
-
-    def __str__(self) -> str:
-        return "[%s] %s: %s" % (self.severity.name, self.mechanism, self.message)
-
-
-@dataclass
-class SpfAudit:
-    record: Optional[str] = None
-    findings: List[Finding] = field(default_factory=list)
-    lookup_terms: int = 0
-    resolved_lookups: int = 0
-    void_lookups: int = 0
-    terminal_qualifier: Optional[str] = None
-
-
-@dataclass
-class DkimAudit:
-    selector_records: List[Tuple[str, Optional[str]]] = field(default_factory=list)
-    findings: List[Finding] = field(default_factory=list)
-    usable_keys: int = 0
-
-
-@dataclass
-class DmarcAudit:
-    record: Optional[str] = None
-    findings: List[Finding] = field(default_factory=list)
-    policy: Optional[DmarcPolicy] = None
+    def fetch(self, name: Union[str, Name], rdtype: RdataType) -> SourceAnswer:
+        answer, self.t = self.resolver.query_at(name, rdtype, self.t)
+        self.last_status = answer.status
+        status = _SOURCE_STATUS.get(answer.status, SourceStatus.UNKNOWN)
+        return SourceAnswer(status, [rr.rdata for rr in answer.records])
 
 
 @dataclass
@@ -78,128 +65,43 @@ class DomainAssessment:
     """The full audit of one sender domain."""
 
     domain: str
-    spf: SpfAudit
-    dkim: DkimAudit
-    dmarc: DmarcAudit
-
-    @property
-    def findings(self) -> List[Finding]:
-        return self.spf.findings + self.dkim.findings + self.dmarc.findings
-
-    @property
-    def errors(self) -> List[Finding]:
-        return [finding for finding in self.findings if finding.severity is Severity.ERROR]
+    report: LintReport
+    spf: Optional[SpfAudit]
+    #: Probed selectors that publish a key record, usable or not.
+    dkim_selectors: List[str]
+    usable_keys: int
+    dmarc: Optional[DmarcRecord]
 
     @property
     def grade(self) -> str:
         """A-F: A = all three deployed cleanly with an enforcing DMARC."""
-        has_spf = self.spf.record is not None and not any(
-            finding.severity is Severity.ERROR for finding in self.spf.findings
-        )
-        has_dkim = self.dkim.usable_keys > 0
-        has_dmarc = self.dmarc.policy is not None
-        enforcing = self.dmarc.policy in (DmarcPolicy.REJECT, DmarcPolicy.QUARANTINE)
-        deployed = sum([has_spf, has_dkim, has_dmarc])
-        if deployed == 3 and enforcing and not self.errors:
+        has_spf = self.spf is not None and not self.spf.report.errors
+        policy = self.dmarc.policy if self.dmarc is not None else None
+        deployed = sum([has_spf, self.usable_keys > 0, policy is not None])
+        enforcing = policy in (DmarcPolicy.REJECT, DmarcPolicy.QUARANTINE)
+        if deployed == 3 and enforcing and not self.report.errors:
             return "A"
-        if deployed == 3:
-            return "B"
-        if deployed == 2:
-            return "C"
-        if deployed == 1:
-            return "D"
-        return "F"
+        return {3: "B", 2: "C", 1: "D"}.get(deployed, "F")
 
     def to_text(self) -> str:
         lines = ["Assessment for %s — grade %s" % (self.domain, self.grade)]
-        lines.append("  SPF   : %s" % (self.spf.record or "(no record)"))
-        if self.spf.record:
+        if self.spf is None:
+            lines.append("  SPF   : (no record)")
+        else:
+            lines.append("  SPF   : %s" % self.spf.record_text)
             lines.append(
-                "          %d DNS-lookup terms (static), %d lookups / %d void when resolved"
-                % (self.spf.lookup_terms, self.spf.resolved_lookups, self.spf.void_lookups)
+                "          worst case %d DNS-lookup terms, %d void lookups"
+                % (self.spf.prediction.lookup_terms, self.spf.prediction.void_lookups)
             )
-        keys = ", ".join(selector for selector, record in self.dkim.selector_records if record)
-        lines.append("  DKIM  : %s" % (keys or "(no keys found)"))
-        lines.append("  DMARC : %s" % (self.dmarc.record or "(no record)"))
-        for finding in self.findings:
-            lines.append("  %s" % finding)
+        lines.append("  DKIM  : %s" % (", ".join(self.dkim_selectors) or "(no keys found)"))
+        lines.append("  DMARC : %s" % (self.dmarc.to_text() if self.dmarc else "(no record)"))
+        lines.extend("  %s" % diagnostic.format() for diagnostic in self.report.diagnostics)
         return "\n".join(lines)
 
 
 #: Selectors the assessor tries when the caller does not supply any —
 #: the usual suspects across large mail platforms.
 DEFAULT_SELECTORS = ("default", "mail", "selector1", "selector2", "sel", "s1", "dkim", "google", "k1")
-
-
-def lint_spf_record(text: str) -> Tuple[List[Finding], int, Optional[str]]:
-    """Static analysis of one SPF record.
-
-    Returns (findings, dns-lookup-term count, terminal qualifier).
-    """
-    findings: List[Finding] = []
-    try:
-        record = parse_record(text, tolerant=True)
-    except SpfSyntaxError as exc:
-        return [Finding(Severity.ERROR, "spf", "unparseable record: %s" % exc)], 0, None
-
-    for invalid in record.invalid_terms:
-        findings.append(
-            Finding(Severity.ERROR, "spf", "syntax error in term %r (%s)" % (invalid.text, invalid.reason))
-        )
-
-    lookup_terms = sum(
-        1 for term in record.directives if term.mechanism.kind.consumes_dns_lookup
-    )
-    if record.modifier("redirect") is not None:
-        lookup_terms += 1
-    if lookup_terms > 10:
-        findings.append(
-            Finding(
-                Severity.ERROR,
-                "spf",
-                "%d DNS-lookup terms; RFC 7208 caps evaluation at 10 (permerror)" % lookup_terms,
-            )
-        )
-    elif lookup_terms > 7:
-        findings.append(
-            Finding(
-                Severity.WARNING,
-                "spf",
-                "%d DNS-lookup terms; nested includes can push past the limit of 10" % lookup_terms,
-            )
-        )
-
-    terminal: Optional[str] = None
-    directives = record.directives
-    for index, directive in enumerate(directives):
-        kind = directive.mechanism.kind
-        if kind is MechanismKind.PTR:
-            findings.append(
-                Finding(Severity.WARNING, "spf", "'ptr' is slow and unreliable; RFC 7208 says do not use")
-            )
-        if kind is MechanismKind.ALL:
-            terminal = directive.qualifier.value
-            if directive.qualifier is Qualifier.PASS:
-                findings.append(
-                    Finding(Severity.ERROR, "spf", "'+all' authorizes the entire Internet")
-                )
-            if index != len(directives) - 1:
-                findings.append(
-                    Finding(Severity.WARNING, "spf", "mechanisms after 'all' are never evaluated")
-                )
-    if terminal is None and record.modifier("redirect") is None:
-        findings.append(
-            Finding(
-                Severity.WARNING,
-                "spf",
-                "no terminal 'all' or redirect=; unmatched senders default to neutral",
-            )
-        )
-    if record.modifier("redirect") is not None and terminal is not None:
-        findings.append(
-            Finding(Severity.WARNING, "spf", "redirect= is ignored when 'all' is present")
-        )
-    return findings, lookup_terms, terminal
 
 
 def assess_domain(
@@ -209,158 +111,53 @@ def assess_domain(
     selectors: Tuple[str, ...] = DEFAULT_SELECTORS,
 ) -> Tuple[DomainAssessment, float]:
     """Audit ``domain``'s sender-side deployment through ``resolver``."""
-    spf, t = _assess_spf(resolver, domain, t)
-    dkim, t = _assess_dkim(resolver, domain, selectors, t)
-    dmarc, t = _assess_dmarc(resolver, domain, t)
-    return DomainAssessment(domain=domain, spf=spf, dkim=dkim, dmarc=dmarc), t
-
-
-def _assess_spf(resolver: Resolver, domain: str, t: float) -> Tuple[SpfAudit, float]:
-    audit = SpfAudit()
-    answer, t = resolver.query_at(domain, RdataType.TXT, t)
-    if answer.status.is_error:
-        audit.findings.append(Finding(Severity.ERROR, "spf", "TXT lookup failed (%s)" % answer.status.value))
-        return audit, t
-    spf_texts = [text for text in answer.texts() if looks_like_spf(text)]
-    if not spf_texts:
-        audit.findings.append(Finding(Severity.ERROR, "spf", "no SPF record published"))
-        return audit, t
-    if len(spf_texts) > 1:
-        audit.findings.append(
-            Finding(Severity.ERROR, "spf", "%d SPF records published; validators must permerror" % len(spf_texts))
-        )
-    audit.record = spf_texts[0]
-    findings, lookup_terms, terminal = lint_spf_record(audit.record)
-    audit.findings.extend(findings)
-    audit.lookup_terms = lookup_terms
-    audit.terminal_qualifier = terminal
-    if terminal == "?":
-        audit.findings.append(
-            Finding(Severity.WARNING, "spf", "terminal '?all' asserts nothing; spoofed mail is neutral")
+    source = ResolverRecordSource(resolver, t)
+    report = LintReport()
+    spf = audit_spf_domain(domain, source)
+    if spf is not None:
+        report.extend(spf.report)
+    else:
+        failed = source.last_status
+        report.add(
+            "SPF006",
+            "no SPF record at %s%s"
+            % (domain, " (TXT lookup %s)" % failed.value if failed and failed.is_error else ""),
+            subject=domain,
+            hint="publish 'v=spf1 ... -all' listing the hosts that send for the domain",
         )
 
-    # Dynamic pass: resolve the record's lookup terms and count voids —
-    # the costs a validator will actually pay.
-    try:
-        record = parse_record(audit.record, tolerant=True)
-    except SpfSyntaxError:
-        return audit, t
-    for term in record.directives:
-        mechanism = term.mechanism
-        if not mechanism.kind.consumes_dns_lookup or mechanism.domain_spec is None:
-            continue
-        if "%" in mechanism.domain_spec:
-            continue  # macros depend on the message; skip statically
-        rdtype = {
-            MechanismKind.MX: RdataType.MX,
-            MechanismKind.INCLUDE: RdataType.TXT,
-        }.get(mechanism.kind, RdataType.A)
-        child, t = resolver.query_at(mechanism.domain_spec, rdtype, t)
-        audit.resolved_lookups += 1
-        if child.status.is_void:
-            audit.void_lookups += 1
-            audit.findings.append(
-                Finding(
-                    Severity.WARNING,
-                    "spf",
-                    "%s target %s does not resolve (void lookup)"
-                    % (mechanism.kind.value, mechanism.domain_spec),
-                )
-            )
-        if mechanism.kind is MechanismKind.INCLUDE and child.status.value == "success":
-            child_spf = [text for text in child.texts() if looks_like_spf(text)]
-            if not child_spf:
-                audit.findings.append(
-                    Finding(
-                        Severity.ERROR,
-                        "spf",
-                        "include:%s has no SPF record; evaluation permerrors" % mechanism.domain_spec,
-                    )
-                )
-    if audit.void_lookups > 2:
-        audit.findings.append(
-            Finding(
-                Severity.ERROR,
-                "spf",
-                "%d void lookups; RFC 7208 permits two" % audit.void_lookups,
-            )
-        )
-    return audit, t
-
-
-def _assess_dkim(
-    resolver: Resolver, domain: str, selectors: Tuple[str, ...], t: float
-) -> Tuple[DkimAudit, float]:
-    audit = DkimAudit()
+    dkim_selectors: List[str] = []
+    usable_keys = 0
     for selector in selectors:
         qname = "%s._domainkey.%s" % (selector, domain)
-        answer, t = resolver.query_at(qname, RdataType.TXT, t)
-        texts = answer.texts()
+        texts = source.lookup(qname, RdataType.TXT).texts()
         if not texts:
-            audit.selector_records.append((selector, None))
             continue
-        audit.selector_records.append((selector, texts[0]))
-        try:
-            key_record = KeyRecord.from_text(texts[0])
-            if key_record.revoked:
-                audit.findings.append(
-                    Finding(Severity.WARNING, "dkim", "selector %r key is revoked (p=)" % selector)
-                )
-                continue
-            public_key = RsaPublicKey.from_base64(key_record.public_key_b64)
-        except DkimError as exc:
-            audit.findings.append(
-                Finding(Severity.ERROR, "dkim", "selector %r key unusable: %s" % (selector, exc))
-            )
-            continue
-        audit.usable_keys += 1
-        bits = public_key.n.bit_length()
-        if bits < 1024:
-            audit.findings.append(
-                Finding(Severity.ERROR, "dkim", "selector %r key only %d bits" % (selector, bits))
-            )
-        elif bits < 2048:
-            audit.findings.append(
-                Finding(
-                    Severity.INFO,
-                    "dkim",
-                    "selector %r key is %d bits; 2048 recommended" % (selector, bits),
-                )
-            )
-    if audit.usable_keys == 0:
-        audit.findings.append(
-            Finding(Severity.ERROR, "dkim", "no usable DKIM key found under any common selector")
+        dkim_selectors.append(selector)
+        audit_key_record(texts[0], subject=qname, report=report)
+        usable_keys += key_is_usable(texts[0])
+    if not usable_keys:
+        report.add(
+            "DKIM017",
+            "no usable key under selector(s) %s" % ", ".join(selectors),
+            subject=domain,
         )
-    return audit, t
 
-
-def _assess_dmarc(resolver: Resolver, domain: str, t: float) -> Tuple[DmarcAudit, float]:
-    audit = DmarcAudit()
-    answer, t = resolver.query_at("_dmarc.%s" % domain, RdataType.TXT, t)
-    texts = [text for text in answer.texts() if looks_like_dmarc(text)]
-    if not texts:
-        audit.findings.append(Finding(Severity.ERROR, "dmarc", "no DMARC record published"))
-        return audit, t
-    if len(texts) > 1:
-        audit.findings.append(Finding(Severity.ERROR, "dmarc", "multiple DMARC records"))
-        return audit, t
-    audit.record = texts[0]
-    try:
-        record = DmarcRecord.from_text(texts[0])
-    except DmarcRecordError as exc:
-        audit.findings.append(Finding(Severity.ERROR, "dmarc", "unparseable record: %s" % exc))
-        return audit, t
-    audit.policy = record.policy
-    if record.policy is DmarcPolicy.NONE:
-        audit.findings.append(
-            Finding(Severity.WARNING, "dmarc", "p=none monitors but never protects")
-        )
-    if record.percent < 100:
-        audit.findings.append(
-            Finding(Severity.WARNING, "dmarc", "pct=%d leaves some spoofed mail unfiltered" % record.percent)
-        )
-    if not record.rua:
-        audit.findings.append(
-            Finding(Severity.INFO, "dmarc", "no rua= aggregate-report address; you fly blind")
-        )
-    return audit, t
+    owner = Name(domain)
+    dmarc = _check_dmarc(
+        {owner.key} if usable_keys else set(),
+        source,
+        owner.child("_dmarc"),
+        owner,
+        report,
+        spf_published=spf is not None,
+    )
+    assessment = DomainAssessment(
+        domain=domain,
+        report=report,
+        spf=spf,
+        dkim_selectors=dkim_selectors,
+        usable_keys=usable_keys,
+        dmarc=dmarc,
+    )
+    return assessment, source.t

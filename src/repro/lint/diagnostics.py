@@ -39,6 +39,7 @@ RULES: Dict[str, Tuple[Severity, str]] = {
     "SPF003": (Severity.ERROR, "multiple SPF records at one name (permerror)"),
     "SPF004": (Severity.ERROR, "duplicate redirect=/exp= modifier (RFC 7208 s6 permerror)"),
     "SPF005": (Severity.WARNING, "record risks UDP truncation (over 450 octets)"),
+    "SPF006": (Severity.WARNING, "no SPF record published"),
     # -- RFC 7208 processing limits (section 4.6.4) -----------------------
     "SPF010": (Severity.ERROR, "worst-case DNS-lookup terms exceed the limit of 10 (permerror)"),
     "SPF011": (Severity.WARNING, "worst-case DNS-lookup terms near the limit of 10"),
@@ -70,6 +71,8 @@ RULES: Dict[str, Tuple[Severity, str]] = {
     "DMARC006": (Severity.WARNING, "sp= subdomain policy weaker than p="),
     "DMARC007": (Severity.ERROR, "alignment impossible: neither SPF nor DKIM identity exists"),
     "DMARC008": (Severity.INFO, "unknown DMARC tag is ignored by validators"),
+    "DMARC009": (Severity.WARNING, "no DMARC record published"),
+    "DMARC010": (Severity.INFO, "no rua= address; aggregate reports go nowhere"),
     # -- DKIM key records and signature headers (repro.lint.dkimlint) ------
     "DKIM001": (Severity.ERROR, "DKIM key record is not parseable"),
     "DKIM002": (Severity.WARNING, "key is revoked (empty p=); signatures can never verify"),
@@ -87,6 +90,7 @@ RULES: Dict[str, Tuple[Severity, str]] = {
     "DKIM014": (Severity.ERROR, "i= identity is outside the d= signing domain"),
     "DKIM015": (Severity.WARNING, "selector is not a valid DNS label"),
     "DKIM016": (Severity.INFO, "unknown tag is ignored by verifiers"),
+    "DKIM017": (Severity.WARNING, "no usable DKIM key under any probed selector"),
     # -- trace conformance (repro.lint.tracecheck) -------------------------
     "TRACE001": (Severity.ERROR, "query name impossible under the policy's derived DNS footprint"),
     "TRACE002": (Severity.ERROR, "query type not permitted for this name in the policy footprint"),
@@ -204,12 +208,6 @@ class LintReport:
 
     def has(self, code: str) -> bool:
         return any(d.code == code for d in self.diagnostics)
-
-    @property
-    def max_severity(self) -> Optional[Severity]:
-        if not self.diagnostics:
-            return None
-        return max(d.severity for d in self.diagnostics)
 
     def render_text(self, header: Optional[str] = None) -> str:
         lines: List[str] = []

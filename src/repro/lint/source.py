@@ -5,6 +5,8 @@ reads records through a :class:`RecordSource`, which answers "what does
 ``name``/``rdtype`` hold?" from data it already has — a
 :class:`~repro.dns.zone.Zone`, a plain dict, or (in
 :mod:`repro.core.preflight`) a test policy's declarative record map.
+The exception lives in ``core``: the sender assessor's source
+(:mod:`repro.core.assess`) resolves every lookup through a resolver.
 
 A source distinguishes the same outcomes a resolver would, because the
 SPF limit math depends on them: FOUND, NODATA and NXDOMAIN (the two void
@@ -30,11 +32,6 @@ class SourceStatus(enum.Enum):
     NODATA = "nodata"
     NXDOMAIN = "nxdomain"
     UNKNOWN = "unknown"
-
-    @property
-    def is_void(self) -> bool:
-        """Void lookup in the RFC 7208 sense: the name yields no records."""
-        return self in (SourceStatus.NODATA, SourceStatus.NXDOMAIN)
 
 
 @dataclass
@@ -81,13 +78,6 @@ class RecordSource:
             target = next(r for r in answer.records if r.rdtype == RdataType.CNAME).target
             answer = self.fetch(target, rdtype)
         return answer
-
-    def has_records(self, name: Union[str, Name], rdtype: RdataType) -> Optional[bool]:
-        """Three-valued: True/False when the source knows, None when not."""
-        answer = self.lookup(name, rdtype)
-        if answer.status is SourceStatus.UNKNOWN:
-            return None
-        return any(r.rdtype == rdtype for r in answer.records)
 
 
 class ZoneRecordSource(RecordSource):

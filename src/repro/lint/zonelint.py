@@ -8,9 +8,12 @@ sender-authentication posture the paper measures end to end:
 * a domain that publishes SPF but no ``_dmarc`` record gets DMARC001 —
   SPF alone never tells receivers what to do with failures;
 * published DMARC records are parsed and checked for the configurations
-  that monitor without protecting (``p=none``, ``pct<100``, weak ``sp=``)
-  or that can never produce an aligned pass (strict alignment with no
-  in-zone identity to align against).
+  that monitor without protecting (``p=none``, ``pct<100``, weak ``sp=``,
+  no ``rua=`` to report to) or that can never produce an aligned pass
+  (strict alignment with no in-zone identity to align against).
+
+The DMARC check takes any record source, so the sender assessor
+(:mod:`repro.core.assess`) runs the same rules over resolved data.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from repro.dns.rdata import RdataType
 from repro.dns.zone import Zone
 from repro.lint.diagnostics import LintReport
 from repro.lint.dkimlint import audit_zone_dkim
-from repro.lint.source import ZoneRecordSource
+from repro.lint.source import RecordSource, ZoneRecordSource
 from repro.lint.spfgraph import SpfAudit, SpfLimits, audit_spf_domain
 from repro.spf.terms import looks_like_spf
 
@@ -100,24 +103,28 @@ def audit_zone(zone: Zone, limits: Optional[SpfLimits] = None) -> ZoneAudit:
 
 def _check_dmarc(
     dkim_domains: Set[tuple],
-    source: ZoneRecordSource,
+    source: RecordSource,
     dmarc_name: Name,
     domain: Name,
     report: LintReport,
     spf_published: bool,
-) -> None:
+) -> Optional[DmarcRecord]:
+    """Audit the DMARC record at ``dmarc_name``; returns it when it parses."""
     subject = domain.to_text(omit_final_dot=True)
     answer = source.lookup(dmarc_name, RdataType.TXT)
     dmarc_texts = [t for t in answer.texts() if looks_like_dmarc(t)]
+    hint = "publish at least 'v=DMARC1; p=none' to see failure reports"
     if not dmarc_texts:
         if spf_published:
             report.add(
                 "DMARC001",
                 "%s publishes SPF but no record at %s" % (subject, dmarc_name),
                 subject=subject,
-                hint="publish at least 'v=DMARC1; p=none' to see failure reports",
+                hint=hint,
             )
-        return
+        else:
+            report.add("DMARC009", "no record at %s" % dmarc_name, subject=subject, hint=hint)
+        return None
     if len(dmarc_texts) > 1:
         report.add(
             "DMARC004",
@@ -125,13 +132,14 @@ def _check_dmarc(
             subject=subject,
             hint="keep exactly one",
         )
-        return
+        return None
     try:
         record = DmarcRecord.from_text(dmarc_texts[0])
     except DmarcRecordError as exc:
         report.add("DMARC003", str(exc), subject=subject)
-        return
+        return None
     _check_dmarc_record(dkim_domains, record, domain, subject, report, spf_published)
+    return record
 
 
 def _check_dmarc_record(
@@ -164,6 +172,13 @@ def _check_dmarc_record(
             "sp=%s undercuts p=%s for subdomains — the paper's spoofing "
             "target of choice" % (record.subdomain_policy.value, record.policy.value),
             subject=subject,
+        )
+    if not record.rua:
+        report.add(
+            "DMARC010",
+            "no rua= aggregate-report address; failures go unseen",
+            subject=subject,
+            hint="add rua=mailto:<address>",
         )
     for tag, value in sorted(record.unknown_tags.items()):
         report.add(

@@ -96,9 +96,10 @@ class Reply:
         code: Optional[int] = None
         parts: List[str] = []
         for line in lines:
-            if len(line) < 3 or not line[:3].isdigit():
+            prefix = line[:3]
+            if len(prefix) < 3 or not (prefix.isascii() and prefix.isdigit()):
                 raise SmtpProtocolError("malformed reply line: %r" % line)
-            line_code = int(line[:3])
+            line_code = int(prefix)
             if code is None:
                 code = line_code
             elif line_code != code:

@@ -16,6 +16,8 @@ import sys
 
 import pytest
 
+from repro.lint.diagnostics import RULES
+
 REPO = pathlib.Path(__file__).parent.parent
 SRC = REPO / "src"
 DOCS = ("README.md", "OBSERVABILITY.md", "DESIGN.md", "EXPERIMENTS.md")
@@ -65,3 +67,11 @@ class TestModuleDocstrings:
         for child in sorted((SRC / "repro").iterdir()):
             if child.is_dir() and (child / "__init__.py").exists():
                 assert "repro.%s" % child.name in readme, child.name
+
+
+class TestRuleTable:
+    def test_readme_rule_table_matches_registry(self):
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| ([A-Z]+\d{3}) \| (error|warning|info) \|", readme, re.MULTILINE)
+        assert dict(rows) == {code: rule[0].name.lower() for code, rule in RULES.items()}
+        assert len(rows) == len(RULES)

@@ -28,9 +28,10 @@ def test_quickstart(capsys):
 def test_domain_audit(capsys):
     _load("domain_audit").main()
     out = capsys.readouterr().out
-    assert "grade A" in out
-    assert "grade F" in out
-    assert "entire Internet" in out
+    assert "Assessment for textbook.example — grade A" in out
+    assert "Assessment for sloppy.example — grade B" in out
+    assert "Assessment for danger.example — grade F" in out
+    assert "SPF022 error danger.example" in out  # +all
 
 
 def test_spf_torture(capsys):

@@ -104,6 +104,17 @@ class TestRecordRules:
     def test_ptr(self):
         assert "SPF025" in _codes("v=spf1 ptr -all")
 
+    def test_syntax_error_in_term(self):
+        audit = audit_record_text("v=spf1 ipv4:192.0.2.1 -all")
+        assert audit.report.codes() == ["SPF001"]
+        assert audit.report.diagnostics[0].span.slice(audit.record_text) == "ipv4:192.0.2.1"
+        assert audit.prediction.first_abort == "permerror:syntax"
+
+    def test_unparseable_record(self):
+        audit = audit_record_text("v=spf10 -all")
+        assert audit.report.codes() == ["SPF002"]
+        assert audit.prediction.result is SpfResult.PERMERROR
+
     def test_unknown_modifier(self):
         assert "SPF027" in _codes("v=spf1 moo=cow -all")
 

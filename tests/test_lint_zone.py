@@ -67,6 +67,7 @@ class TestZoneAudit:
         audit = audit_zone(zone)
         assert audit.report.has("DMARC002")
         assert audit.report.has("DMARC005")
+        assert audit.report.has("DMARC010")  # no rua=
 
     def test_weak_subdomain_policy(self):
         zone = Zone("example.com")

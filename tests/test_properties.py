@@ -29,6 +29,8 @@ from repro.dns.rdata import (
     SoaRecord,
     TxtRecord,
 )
+from repro.smtp.errors import SmtpProtocolError
+from repro.smtp.protocol import Reply
 from repro.spf.errors import SpfSyntaxError
 from repro.spf.macros import MacroContext, expand_macros
 from repro.spf.parser import parse_record
@@ -304,3 +306,44 @@ def test_wire_decode_total(data):
         wire.from_wire(data)
     except WireError:
         pass
+
+
+# -- SMTP replies ----------------------------------------------------------
+
+_reply_line = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"), max_size=20
+)
+_reply = st.builds(Reply, st.integers(200, 599), st.lists(_reply_line, min_size=1, max_size=3))
+_reply_input = st.one_of(
+    st.binary(max_size=60),
+    # Lines whose first three characters look like a code: ASCII and
+    # non-ASCII digits, short codes, mixed multiline codes.
+    st.lists(
+        st.builds(
+            "{}{}{}".format,
+            st.sampled_from(["250", "550", "000", "999", "25", "²²²", "١٢٣", "٢٥٠", "2٥0", ""]),
+            st.sampled_from([" ", "-", ""]),
+            _reply_line,
+        ),
+        max_size=3,
+    ).map(lambda lines: "\r\n".join(lines).encode("utf-8")),
+)
+
+
+@settings(max_examples=500)
+@given(_reply_input)
+def test_reply_decode_total(data):
+    """Arbitrary octets either parse as a reply or raise SmtpProtocolError;
+    a parsed code was spelled in ASCII digits."""
+    try:
+        reply = Reply.from_bytes(data)
+    except SmtpProtocolError:
+        return
+    assert b"%d" % reply.code in data
+
+
+@settings(max_examples=300)
+@given(_reply)
+def test_reply_roundtrip(reply):
+    """from_bytes(to_bytes(r)) == r for every valid reply."""
+    assert Reply.from_bytes(reply.to_bytes()) == reply
