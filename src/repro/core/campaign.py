@@ -71,27 +71,27 @@ def apply_reputation_effects(
 
 @functools.lru_cache(maxsize=None)
 def _seeded_keypair(seed: int) -> RsaKeyPair:
-    # Key generation dominates testbed set-up.  The key pair is frozen,
-    # so one per seed per process is enough, and forked workers inherit
-    # the coordinator's.
+    # Costly, and only NotifyEmail signs with or publishes the key, so it
+    # is generated on first use, once per seed per process (it is frozen);
+    # run_notify_sharded generates it before forking, so workers inherit it.
     return generate_keypair(1024, seed=seed + 4242)
 
 
-def make_synth_config(seed: int) -> Tuple[RsaKeyPair, SynthConfig]:
-    """The (keypair, synthesizing-server config) a :class:`Testbed` with
-    ``seed`` would build.  Exposed so the merge layer
-    (:mod:`repro.core.parallel`) can attribute worker query logs without
-    standing up a coordinator-side testbed of its own.  The key pair is
-    memoised per seed; the config is mutable, so every call builds a
-    fresh one."""
-    keypair = _seeded_keypair(seed)
-    config = SynthConfig(
+def _seeded_public_key(seed: int) -> str:
+    return _seeded_keypair(seed).public.to_base64()
+
+
+def make_synth_config(seed: int) -> SynthConfig:
+    """The synthesizing-server config a :class:`Testbed` with ``seed``
+    would build, fresh per call (it is mutable), with its DKIM key made on
+    first use.  Exposed so :mod:`repro.core.parallel` can attribute worker
+    query logs without a coordinator-side testbed of its own."""
+    return SynthConfig(
         probe_ipv4=SENDER_IPV4,
         probe_ipv6=SENDER_IPV6,
         sender_ips=(SENDER_IPV4, SENDER_IPV6),
-        dkim_key_b64=keypair.public.to_base64(),
+        dkim_key_source=functools.partial(_seeded_public_key, seed),
     )
-    return keypair, config
 
 
 class Testbed:
@@ -119,12 +119,17 @@ class Testbed:
         self.clock = Clock()
         self.network = Network(UniformLatency(0.004, 0.045, seed=seed), self.clock, faults=faults)
         self.directory = AuthorityDirectory()
-        self.keypair, self.synth_config = make_synth_config(seed)
+        self.synth_config = make_synth_config(seed)
         self.synth = SynthesizingAuthority(self.synth_config, obs=self.obs, faults=faults)
         self.synth.deploy(self.network, self.directory)
         self.receivers: Dict[str, ReceivingMta] = {}
         self._deploy_universe_dns()
         self._deploy_receivers()
+
+    @property
+    def keypair(self) -> RsaKeyPair:
+        """The DKIM key pair NotifyEmail signs with (generated on first use)."""
+        return _seeded_keypair(self.seed)
 
     # -- world building -------------------------------------------------
 

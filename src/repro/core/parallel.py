@@ -472,7 +472,8 @@ def run_notify_sharded(
     content-identical to ``NotifyEmailCampaign(Testbed(universe,
     seed=testbed_seed)).run()``; with one worker, the same spans too.
     """
-    _, synth_config = make_synth_config(testbed_seed)
+    synth_config = make_synth_config(testbed_seed)
+    synth_config.dkim_key()  # generated once, before the fork: workers inherit it
     schedule = notify_schedule(universe.domains, spacing=spacing, start_time=start_time)
     return _run_parallel(
         _NOTIFY_CAMPAIGN,
@@ -520,7 +521,7 @@ def run_probe_sharded(
     testid_list = tuple(testids) if testids is not None else tuple(p.testid for p in POLICIES)
     if preflight:
         preflight_policies(policy_by_id(t) for t in testid_list)
-    _, synth_config = make_synth_config(testbed_seed)
+    synth_config = make_synth_config(testbed_seed)
     schedule = probe_schedule(
         universe, testid_list, seed=campaign_seed, stagger=stagger, start_time=start_time
     )

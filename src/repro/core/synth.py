@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.core.policies import (
     NOTIFY_POLICY,
@@ -71,8 +71,16 @@ class SynthConfig:
     #: Real sender addresses (authorized by the NotifyEmail policy).
     sender_ips: Sequence[str] = ()
     dkim_key_b64: str = ""
+    #: Fills an empty ``dkim_key_b64`` on first use (only NotifyEmail needs it).
+    dkim_key_source: Optional[Callable[[], str]] = field(default=None, repr=False, compare=False)
     ttl: int = 60
     policies: Sequence[TestPolicy] = field(default_factory=lambda: list(POLICIES))
+
+    def dkim_key(self) -> str:
+        """The published DKIM public key (base64)."""
+        if not self.dkim_key_b64 and self.dkim_key_source is not None:
+            self.dkim_key_b64 = self.dkim_key_source()
+        return self.dkim_key_b64
 
 
 class SynthesizingAuthority(AuthoritativeServer):
@@ -147,7 +155,6 @@ class SynthesizingAuthority(AuthoritativeServer):
                 probe_ipv4=config.probe_ipv4,
                 probe_ipv6=config.probe_ipv6,
                 valid_sender_ips=config.sender_ips,
-                dkim_key_b64=config.dkim_key_b64,
             )
             return policy, sub, context
         if qname.is_subdomain_of(self._notify_suffix):
@@ -163,7 +170,7 @@ class SynthesizingAuthority(AuthoritativeServer):
                 probe_ipv4=config.probe_ipv4,
                 probe_ipv6=config.probe_ipv6,
                 valid_sender_ips=config.sender_ips,
-                dkim_key_b64=config.dkim_key_b64,
+                dkim_key_b64=config.dkim_key(),
             )
             return NOTIFY_POLICY, sub, context
         return None

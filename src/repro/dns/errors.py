@@ -17,6 +17,10 @@ class EmptyLabel(NameError_):
     """A name contained an empty interior label (``a..b``)."""
 
 
+class NonAsciiLabel(NameError_, ValueError):
+    """A non-ASCII label; a ``ValueError`` too, as ``UnicodeEncodeError`` was."""
+
+
 class WireError(DnsError):
     """Malformed wire-format data (bad pointer, short buffer, ...)."""
 

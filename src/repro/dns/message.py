@@ -132,10 +132,6 @@ class Message:
     def rcode(self) -> Rcode:
         return self.flags.rcode
 
-    def answers_of(self, rdtype: RdataType) -> List[ResourceRecord]:
-        """Answer-section records of the given type."""
-        return [rr for rr in self.answer if rr.rdtype == rdtype]
-
     def __str__(self) -> str:
         lines = [
             "id %d %s rcode=%s%s" % (

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, Tuple, Union
 
-from repro.dns.errors import EmptyLabel, NameTooLong
+from repro.dns.errors import EmptyLabel, NameError_, NameTooLong, NonAsciiLabel
 
 _MAX_LABEL = 63
 _MAX_NAME = 255
@@ -24,9 +24,17 @@ _MAX_NAME = 255
 def _validate_label(label: str) -> str:
     if not label:
         raise EmptyLabel("empty label")
-    if len(label.encode("ascii", "strict")) > _MAX_LABEL:
+    if not label.isascii():
+        raise NonAsciiLabel("label is not ASCII: %r" % label)
+    if len(label) > _MAX_LABEL:
         raise NameTooLong("label exceeds 63 octets: %r" % label)
     return label
+
+
+def _check_length(labels: Tuple[str, ...]) -> None:
+    # +1 per label length octet, +1 for the root label.
+    if sum(map(len, labels)) + len(labels) + 1 > _MAX_NAME:
+        raise NameTooLong("name exceeds 255 octets: %s" % ".".join(labels))
 
 
 class Name:
@@ -42,18 +50,27 @@ class Name:
 
     def __init__(self, value: Union[str, Iterable[str], "Name"] = ()) -> None:
         if isinstance(value, Name):
-            labels: Tuple[str, ...] = value._labels
-        elif isinstance(value, str):
+            # Already validated, and both tuples are immutable: share them.
+            self._labels, self._key = value._labels, value._key
+            return
+        if isinstance(value, str):
             text = value.rstrip(".")
             labels = tuple(_validate_label(p) for p in text.split(".")) if text else ()
         else:
             labels = tuple(_validate_label(str(p)) for p in value)
-        # +1 per label length octet, +1 for the root label.
-        wire_length = sum(len(label) + 1 for label in labels) + 1
-        if wire_length > _MAX_NAME:
-            raise NameTooLong("name exceeds 255 octets: %s" % ".".join(labels))
+        _check_length(labels)
         self._labels = labels
         self._key = tuple(label.lower() for label in labels)
+
+    @classmethod
+    def trusted(cls, labels: Tuple[str, ...]) -> "Name":
+        """A name from labels a decoder has already bounded to 1–63 ASCII
+        octets each: only the 255-octet total is checked, once."""
+        _check_length(labels)
+        name = object.__new__(cls)
+        name._labels = labels
+        name._key = tuple([label.lower() for label in labels])
+        return name
 
     # -- structure ------------------------------------------------------
 
@@ -107,7 +124,10 @@ class Name:
         if isinstance(other, Name):
             return self._key == other._key
         if isinstance(other, str):
-            return self._key == Name(other)._key
+            try:
+                return self._key == Name(other)._key
+            except NameError_:
+                return False  # not a valid name, so equal to none
         return NotImplemented
 
     def __hash__(self) -> int:

@@ -40,6 +40,14 @@ OPT_TYPE = 41
 _POINTER_MASK = 0xC0
 _MAX_POINTER_HOPS = 64
 
+# Fixed-size fields, each read with one unpack: header, question and RR
+# fixed fields, MX preference, SOA timers.
+_HEADER = struct.Struct("!6H")
+_QUESTION = struct.Struct("!2H")
+_RR = struct.Struct("!2HIH")
+_PREFERENCE = struct.Struct("!H")
+_SOA_TIMERS = struct.Struct("!5I")
+
 
 @lru_cache(maxsize=8192)
 def _encoded_labels(labels: Tuple[str, ...]) -> Tuple[bytes, ...]:
@@ -120,36 +128,32 @@ class _Decoder:
         self.offset += 1
         return value
 
-    def u16(self) -> int:
-        self._need(2, self.offset)
-        (value,) = struct.unpack_from("!H", self.data, self.offset)
-        self.offset += 2
-        return value
-
-    def u32(self) -> int:
-        self._need(4, self.offset)
-        (value,) = struct.unpack_from("!I", self.data, self.offset)
-        self.offset += 4
-        return value
-
     def raw(self, count: int) -> bytes:
         self._need(count, self.offset)
         chunk = self.data[self.offset : self.offset + count]
         self.offset += count
         return chunk
 
+    def fixed(self, layout: struct.Struct) -> Tuple[int, ...]:
+        self._need(layout.size, self.offset)
+        values = layout.unpack_from(self.data, self.offset)
+        self.offset += layout.size
+        return values
+
     def name(self) -> Name:
-        """Decode a (possibly compressed) name starting at the cursor."""
+        """Decode a (possibly compressed) name starting at the cursor.  Each
+        label is 1–63 ASCII octets by construction, hence :meth:`Name.trusted`."""
+        data = self.data
         labels: List[str] = []
         cursor = self.offset
         jumped = False
         hops = 0
         while True:
             self._need(1, cursor)
-            length = self.data[cursor]
+            length = data[cursor]
             if length & _POINTER_MASK == _POINTER_MASK:
                 self._need(2, cursor)
-                pointer = struct.unpack_from("!H", self.data, cursor)[0] & 0x3FFF
+                pointer = ((length << 8) | data[cursor + 1]) & 0x3FFF
                 if not jumped:
                     self.offset = cursor + 2
                     jumped = True
@@ -168,9 +172,9 @@ class _Decoder:
                     self.offset = cursor
                 break
             self._need(length, cursor)
-            labels.append(self.data[cursor : cursor + length].decode("ascii", "strict"))
+            labels.append(data[cursor : cursor + length].decode("ascii", "strict"))
             cursor += length
-        return Name(labels)
+        return Name.trusted(tuple(labels))
 
     def character_string(self) -> str:
         length = self.u8()
@@ -233,7 +237,7 @@ def _decode_rdata(decoder: _Decoder, rdtype: int, rdlength: int) -> Rdata:
     elif rdtype == RdataType.PTR:
         rdata = PtrRecord(decoder.name())
     elif rdtype == RdataType.MX:
-        preference = decoder.u16()
+        (preference,) = decoder.fixed(_PREFERENCE)
         rdata = MxRecord(preference, decoder.name())
     elif rdtype == RdataType.TXT:
         strings: List[str] = []
@@ -243,12 +247,7 @@ def _decode_rdata(decoder: _Decoder, rdtype: int, rdlength: int) -> Rdata:
     elif rdtype == RdataType.SOA:
         mname = decoder.name()
         rname = decoder.name()
-        serial = decoder.u32()
-        refresh = decoder.u32()
-        retry = decoder.u32()
-        expire = decoder.u32()
-        minimum = decoder.u32()
-        rdata = SoaRecord(mname, rname, serial, refresh, retry, expire, minimum)
+        rdata = SoaRecord(mname, rname, *decoder.fixed(_SOA_TIMERS))
     else:
         raise WireError("cannot decode rdata type %d" % rdtype)
     if decoder.offset != end:
@@ -298,17 +297,11 @@ def from_wire(data: bytes) -> Message:
     """
     decoder = _Decoder(data)
     try:
-        msg_id = decoder.u16()
-        flags = Flags.from_int(decoder.u16())
-        qdcount = decoder.u16()
-        ancount = decoder.u16()
-        nscount = decoder.u16()
-        arcount = decoder.u16()
-        message = Message(msg_id=msg_id, flags=flags)
+        msg_id, flag_bits, qdcount, ancount, nscount, arcount = decoder.fixed(_HEADER)
+        message = Message(msg_id=msg_id, flags=Flags.from_int(flag_bits))
         for _ in range(qdcount):
             qname = decoder.name()
-            rdtype = decoder.u16()
-            rdclass = decoder.u16()
+            rdtype, rdclass = decoder.fixed(_QUESTION)
             message.question.append(Question(qname, RdataType(rdtype), Rclass(rdclass)))
         for section, count in (
             (message.answer, ancount),
@@ -317,10 +310,7 @@ def from_wire(data: bytes) -> Message:
         ):
             for _ in range(count):
                 name = decoder.name()
-                rdtype = decoder.u16()
-                rdclass = decoder.u16()
-                ttl = decoder.u32()
-                rdlength = decoder.u16()
+                rdtype, rdclass, ttl, rdlength = decoder.fixed(_RR)
                 if rdtype == OPT_TYPE:
                     # EDNS0: the class field is the advertised payload size.
                     message.edns_payload = rdclass

@@ -58,18 +58,11 @@ class Zone:
             node = node.parent()
         return rr
 
-    def add_all(self, name: Union[str, Name], rdatas: Iterable[Rdata], ttl: Optional[int] = None) -> None:
-        for rdata in rdatas:
-            self.add(name, rdata, ttl)
-
     def remove(self, name: Union[str, Name], rdtype: RdataType) -> None:
         """Remove an entire rrset (no-op if absent)."""
         self._records.pop((Name(name).key, rdtype), None)
 
     # -- lookup --------------------------------------------------------
-
-    def contains_name(self, name: Union[str, Name]) -> bool:
-        return Name(name).key in self._nodes
 
     def lookup(self, name: Union[str, Name], rdtype: RdataType) -> Tuple[LookupStatus, List[ResourceRecord]]:
         """Resolve ``name``/``rdtype`` within the zone.

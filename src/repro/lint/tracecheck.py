@@ -319,7 +319,7 @@ def _placeholder_context(policy: TestPolicy, config: SynthConfig) -> PolicyConte
             probe_ipv4=config.probe_ipv4,
             probe_ipv6=config.probe_ipv6,
             valid_sender_ips=config.sender_ips,
-            dkim_key_b64=config.dkim_key_b64,
+            dkim_key_b64=config.dkim_key(),
         )
     base = "%s.mta0.%s" % (policy.testid, config.probe_suffix)
     return PolicyContext(
@@ -331,7 +331,6 @@ def _placeholder_context(policy: TestPolicy, config: SynthConfig) -> PolicyConte
         probe_ipv4=config.probe_ipv4,
         probe_ipv6=config.probe_ipv6,
         valid_sender_ips=config.sender_ips,
-        dkim_key_b64=config.dkim_key_b64,
     )
 
 

@@ -23,9 +23,17 @@ from repro.net.network import Network
 from repro.obs import Observability, ensure_obs
 from repro.smtp.message import EmailMessage
 from repro.smtp.protocol import Mailbox, Reply
-from repro.smtp.server import SmtpServer, SmtpSession
+from repro.smtp.server import OK, START_DATA, SmtpServer, SmtpSession
 from repro.spf.evaluator import SpfEvaluator
 from repro.spf.result import SpfResult
+
+
+# Replies whose text never varies, built once.
+_SPAM = Reply(554, "5.7.1 Message rejected as spam by content scanning")
+_GREYLISTED = Reply(451, "4.7.1 Greylisted, please retry later")
+_GREYLIST_WINDOW = Reply(451, "4.7.1 Greylisted, retry window not yet open")
+_DMARC_REJECT = Reply(550, "5.7.1 rejected per DMARC policy")
+_ACCEPTED = Reply(250, "OK: message accepted")
 
 
 @dataclass
@@ -231,14 +239,12 @@ class _MtaSession(SmtpSession):
 
     def on_mail(self, mailbox: Optional[Mailbox], t: float):
         if self.behavior.blacklist_rejection:
-            word = self.behavior.blacklist_rejection
-            if word == "blacklist":
-                text = "5.7.1 Service unavailable; client host %s is on our blacklist" % self.client_ip
-            else:
-                text = "5.7.1 Message rejected as spam by content scanning"
+            if self.behavior.blacklist_rejection != "blacklist":
+                return _SPAM, 0.0
+            text = "5.7.1 Service unavailable; client host %s is on our blacklist" % self.client_ip
             return Reply(554, text), 0.0
         delay = self._maybe_run_spf(SpfTrigger.ON_MAIL, mailbox, t)
-        return Reply(250, "OK"), delay
+        return OK, delay
 
     def on_rcpt(self, mailbox: Mailbox, t: float):
         behavior = self.behavior
@@ -262,15 +268,15 @@ class _MtaSession(SmtpSession):
             first_seen = self.mta.greylist.get(key)
             if first_seen is None:
                 self.mta.greylist[key] = t
-                return Reply(451, "4.7.1 Greylisted, please retry later"), delay
+                return _GREYLISTED, delay
             if t - first_seen < behavior.greylist_window:
-                return Reply(451, "4.7.1 Greylisted, retry window not yet open"), delay
-        return Reply(250, "OK"), delay
+                return _GREYLIST_WINDOW, delay
+        return OK, delay
 
     def on_data_command(self, t: float):
         delay = self.behavior.data_processing_delay
         delay += self._maybe_run_spf(SpfTrigger.ON_DATA, self.mail_from, t + delay)
-        return Reply(354, "End data with <CRLF>.<CRLF>"), delay
+        return START_DATA, delay
 
     def on_message(self, message: EmailMessage, t: float):
         behavior = self.behavior
@@ -299,7 +305,7 @@ class _MtaSession(SmtpSession):
                 )
                 if behavior.enforces_dmarc:
                     if dmarc_outcome.disposition is DmarcDisposition.REJECT:
-                        return Reply(550, "5.7.1 rejected per DMARC policy"), t - t_arrival
+                        return _DMARC_REJECT, t - t_arrival
                     quarantine = dmarc_outcome.disposition is DmarcDisposition.QUARANTINE
 
         self._stamp_authentication_results(message, spf_result, dkim_result, dkim_domain)
@@ -327,7 +333,7 @@ class _MtaSession(SmtpSession):
             self.mta.run_spf(
                 self.client_ip, self.mail_from, self.helo_name, t + behavior.post_delivery_delay
             )
-        return Reply(250, "OK: message accepted"), t - t_arrival
+        return _ACCEPTED, t - t_arrival
 
     def _stamp_authentication_results(self, message, spf_result, dkim_result, dkim_domain) -> None:
         """Prepend the RFC 8601 header recording this MTA's verdicts."""

@@ -87,9 +87,6 @@ class Network:
         """Declare that ``address`` exists (a host owns it)."""
         self._addresses.add(address)
 
-    def has_address(self, address: str) -> bool:
-        return address in self._addresses
-
     def listen_udp(self, address: str, port: int, handler: UdpHandler) -> None:
         """Bind a UDP request handler to ``(address, port)``."""
         key = (address, port)
@@ -213,6 +210,9 @@ class TcpChannel:
         self.greeting = greeting
         self.t_established = t_established
         self._open = True
+        # Path delays are fixed per (src, dst), so look them up once.
+        self._forward = network.latency.one_way_delay(src_ip, dst_ip)
+        self._back = network.latency.one_way_delay(dst_ip, src_ip)
 
     @property
     def is_open(self) -> bool:
@@ -227,7 +227,7 @@ class TcpChannel:
         """
         if not self._open:
             raise ConnectionRefused("channel is closed")
-        forward = self._network.latency.one_way_delay(self.src_ip, self.dst_ip)
+        forward = self._forward
         faults = self._network.faults
         if faults is not None and faults.inject(
             FaultKind.TCP_RESET, self.src_ip, self.dst_ip, t_send, self.port
@@ -239,11 +239,11 @@ class TcpChannel:
             self._session.on_close(t_send + forward)
             raise ConnectionResetByPeer(
                 "tcp %s -> %s:%d reset" % (self.src_ip, self.dst_ip, self.port),
-                t=t_send + self._network.latency.rtt(self.src_ip, self.dst_ip),
+                t=t_send + (forward + self._back),
             )
         t_arrival = t_send + forward
         reply, delay = self._session.on_data(data, t_arrival)
-        t_reply = t_arrival + delay + self._network.latency.one_way_delay(self.dst_ip, self.src_ip)
+        t_reply = t_arrival + delay + self._back
         if reply is None:
             # The caller still observes time passing for the send itself.
             return None, t_arrival
@@ -253,5 +253,5 @@ class TcpChannel:
         """Close the connection (client-side FIN or abortive reset)."""
         if self._open:
             self._open = False
-            t_fin = t_close + self._network.latency.one_way_delay(self.src_ip, self.dst_ip)
+            t_fin = t_close + self._forward
             self._session.on_close(t_fin)

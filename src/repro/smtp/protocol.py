@@ -8,11 +8,15 @@ strict in what they emit, mirroring how interoperable MTAs behave.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.smtp.errors import SmtpProtocolError
 
 CRLF = "\r\n"
+
+#: Bound on each LRU reply memo (encode and parse); campaigns repeat a few dozen.
+REPLY_MEMO_LIMIT = 2048
 
 
 @dataclass(frozen=True)
@@ -81,32 +85,43 @@ class Reply:
         return 500 <= self.code < 600
 
     def to_bytes(self) -> bytes:
-        out: List[str] = []
-        for index, line in enumerate(self.lines):
-            separator = " " if index == len(self.lines) - 1 else "-"
-            out.append("%03d%s%s" % (self.code, separator, line))
-        return (CRLF.join(out) + CRLF).encode("utf-8")
+        return _encode_reply(self.code, self.lines)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Reply":
-        text = data.decode("utf-8", "replace")
-        lines = [line for line in text.split(CRLF) if line]
-        if not lines:
-            raise SmtpProtocolError("empty reply")
-        code: Optional[int] = None
-        parts: List[str] = []
-        for line in lines:
-            prefix = line[:3]
-            if len(prefix) < 3 or not (prefix.isascii() and prefix.isdigit()):
-                raise SmtpProtocolError("malformed reply line: %r" % line)
-            line_code = int(prefix)
-            if code is None:
-                code = line_code
-            elif line_code != code:
-                raise SmtpProtocolError("inconsistent codes in multiline reply")
-            parts.append(line[4:] if len(line) > 3 else "")
-        assert code is not None
-        return cls(code, parts)
+        # Memoised on the exact bytes; malformed input raises every time.
+        return _decode_reply(bytes(data))
+
+
+@lru_cache(maxsize=REPLY_MEMO_LIMIT)
+def _encode_reply(code: int, lines: Tuple[str, ...]) -> bytes:
+    out: List[str] = []
+    for index, line in enumerate(lines):
+        separator = " " if index == len(lines) - 1 else "-"
+        out.append("%03d%s%s" % (code, separator, line))
+    return (CRLF.join(out) + CRLF).encode("utf-8")
+
+
+@lru_cache(maxsize=REPLY_MEMO_LIMIT)
+def _decode_reply(data: bytes) -> Reply:
+    text = data.decode("utf-8", "replace")
+    lines = [line for line in text.split(CRLF) if line]
+    if not lines:
+        raise SmtpProtocolError("empty reply")
+    code: Optional[int] = None
+    parts: List[str] = []
+    for line in lines:
+        prefix = line[:3]
+        if len(prefix) < 3 or not (prefix.isascii() and prefix.isdigit()):
+            raise SmtpProtocolError("malformed reply line: %r" % line)
+        line_code = int(prefix)
+        if code is None:
+            code = line_code
+        elif line_code != code:
+            raise SmtpProtocolError("inconsistent codes in multiline reply")
+        parts.append(line[4:] if len(line) > 3 else "")
+    assert code is not None
+    return Reply(code, parts)
 
 
 @dataclass(frozen=True)

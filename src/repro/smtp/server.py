@@ -22,6 +22,22 @@ from repro.smtp.protocol import CRLF, Mailbox, Reply, dot_unstuff, parse_command
 
 HookResult = Tuple[Reply, float]
 
+# Replies whose text never varies, built once.
+OK = Reply(250, "OK")
+START_DATA = Reply(354, "End data with <CRLF>.<CRLF>")
+_SYNTAX_ERROR = Reply(500, "Syntax error")
+_UNRECOGNIZED = Reply(500, "Command unrecognized")
+_NOT_IMPLEMENTED = Reply(502, "Command not implemented")
+_NO_HELO = Reply(503, "Send EHLO/HELO first")
+_NESTED_MAIL = Reply(503, "Nested MAIL command")
+_MAIL_SYNTAX = Reply(501, "Syntax error in MAIL")
+_NO_MAIL = Reply(503, "Need MAIL before RCPT")
+_RCPT_SYNTAX = Reply(501, "Syntax error in RCPT")
+_NULL_RCPT = Reply(501, "Null recipient")
+_NO_RCPT = Reply(503, "Need RCPT before DATA")
+_QUEUED = Reply(250, "OK: queued")
+_BYE = Reply(221, "Bye")
+
 
 @lru_cache(maxsize=None)
 def _verb_labels(verb: str) -> tuple:
@@ -87,7 +103,12 @@ class SmtpSession:
         return reply.to_bytes()
 
     def on_data(self, data: bytes, t: float) -> Tuple[Optional[bytes], float]:
-        self._buffer += data.decode("utf-8", "replace")
+        text = data.decode("utf-8", "replace")
+        if not self._buffer and not self._in_data and text.find(CRLF) == len(text) - 2 >= 0:
+            # One complete command line, the common round: no buffering.
+            result = self._command_line(text[:-2], t)
+            return (None, 0.0) if result is None else (result[0].to_bytes(), result[1])
+        self._buffer += text
         replies = bytearray()
         total_delay = 0.0
         while CRLF in self._buffer:
@@ -113,7 +134,7 @@ class SmtpSession:
         try:
             command = parse_command(line)
         except SmtpProtocolError:
-            return Reply(500, "Syntax error"), 0.0
+            return _SYNTAX_ERROR, 0.0
         # The span opens before dispatch so hook-triggered work (an SPF
         # check and its DNS queries, say) nests underneath it.
         obs = self.obs
@@ -150,23 +171,23 @@ class SmtpSession:
             self._reset_envelope()
             return self.on_rset(t)
         if verb == "NOOP":
-            return Reply(250, "OK"), 0.0
+            return OK, 0.0
         if verb == "QUIT":
             self._quit = True
             return self.on_quit(t)
         if verb in ("VRFY", "EXPN", "HELP"):
-            return Reply(502, "Command not implemented"), 0.0
-        return Reply(500, "Command unrecognized"), 0.0
+            return _NOT_IMPLEMENTED, 0.0
+        return _UNRECOGNIZED, 0.0
 
     def _mail(self, argument: str, t: float) -> HookResult:
         if self.helo_name is None:
-            return Reply(503, "Send EHLO/HELO first"), 0.0
+            return _NO_HELO, 0.0
         if self.mail_from is not None:
-            return Reply(503, "Nested MAIL command"), 0.0
+            return _NESTED_MAIL, 0.0
         try:
             mailbox = parse_path(argument, "FROM")
         except SmtpProtocolError:
-            return Reply(501, "Syntax error in MAIL"), 0.0
+            return _MAIL_SYNTAX, 0.0
         reply, delay = self.on_mail(mailbox, t)
         if reply.is_success:
             self.mail_from = mailbox
@@ -174,13 +195,13 @@ class SmtpSession:
 
     def _rcpt(self, argument: str, t: float) -> HookResult:
         if self.mail_from is None:
-            return Reply(503, "Need MAIL before RCPT"), 0.0
+            return _NO_MAIL, 0.0
         try:
             mailbox = parse_path(argument, "TO")
         except SmtpProtocolError:
-            return Reply(501, "Syntax error in RCPT"), 0.0
+            return _RCPT_SYNTAX, 0.0
         if mailbox is None:
-            return Reply(501, "Null recipient"), 0.0
+            return _NULL_RCPT, 0.0
         reply, delay = self.on_rcpt(mailbox, t)
         if reply.is_success:
             self.rcpt_to.append(mailbox)
@@ -188,7 +209,7 @@ class SmtpSession:
 
     def _data(self, t: float) -> HookResult:
         if not self.rcpt_to:
-            return Reply(503, "Need RCPT before DATA"), 0.0
+            return _NO_RCPT, 0.0
         reply, delay = self.on_data_command(t)
         if reply.is_intermediate:
             self._in_data = True
@@ -231,22 +252,22 @@ class SmtpSession:
         return Reply(250, self.banner_host), 0.0
 
     def on_mail(self, mailbox: Optional[Mailbox], t: float) -> HookResult:
-        return Reply(250, "OK"), 0.0
+        return OK, 0.0
 
     def on_rcpt(self, mailbox: Mailbox, t: float) -> HookResult:
-        return Reply(250, "OK"), 0.0
+        return OK, 0.0
 
     def on_data_command(self, t: float) -> HookResult:
-        return Reply(354, "End data with <CRLF>.<CRLF>"), 0.0
+        return START_DATA, 0.0
 
     def on_message(self, message: EmailMessage, t: float) -> HookResult:
-        return Reply(250, "OK: queued"), 0.0
+        return _QUEUED, 0.0
 
     def on_rset(self, t: float) -> HookResult:
-        return Reply(250, "OK"), 0.0
+        return OK, 0.0
 
     def on_quit(self, t: float) -> HookResult:
-        return Reply(221, "Bye"), 0.0
+        return _BYE, 0.0
 
     def on_disconnect(self, t: float) -> None:
         """The peer went away; subclasses use this for deferred work."""

@@ -138,24 +138,56 @@ class TestUnits:
         ]
 
 
+@pytest.fixture
+def keygens(monkeypatch):
+    """The seeds of every ``generate_keypair`` call the campaign layer
+    makes, starting from an empty per-process key memo."""
+    calls = []
+    real = campaign_module.generate_keypair
+
+    def counting(bits, seed):
+        calls.append(seed)
+        return real(bits, seed=seed)
+
+    monkeypatch.setattr(campaign_module, "generate_keypair", counting)
+    campaign_module._seeded_keypair.cache_clear()
+    yield calls
+    campaign_module._seeded_keypair.cache_clear()  # drop the counted keys
+
+
 class TestKeypairMemo:
-    def test_one_keygen_per_seed_per_process(self, monkeypatch):
-        calls = []
-        real = campaign_module.generate_keypair
-
-        def counting(bits, seed):
-            calls.append(seed)
-            return real(bits, seed=seed)
-
-        monkeypatch.setattr(campaign_module, "generate_keypair", counting)
-        seed = 424242  # used by no other test, so the memo starts cold
-        first_key, first_config = make_synth_config(seed)
-        second_key, second_config = make_synth_config(seed)
-        assert len(calls) == 1
-        assert first_key.public == second_key.public
-        assert first_config.dkim_key_b64 == second_config.dkim_key_b64
+    def test_one_keygen_per_seed_per_process(self, keygens):
+        seed = 424242
+        first_config = make_synth_config(seed)
+        second_config = make_synth_config(seed)
+        # Building a config generates nothing: the key comes on first use.
+        assert keygens == []
+        assert first_config.dkim_key() == second_config.dkim_key()
+        assert len(keygens) == 1
         # The config is mutable, so every call gets its own.
         assert first_config is not second_config
+
+    def test_probe_campaigns_generate_no_key(self, universe, keygens, tmp_path):
+        from repro.core.runner import main
+
+        run_probe_sharded(
+            universe, "TwoWeekMX", testids=("t01", "t02"), workers=2,
+            testbed_seed=5, use_processes=False,
+        )
+        code = main([
+            "--experiment", "twoweekmx", "--scale", "0.003", "--seed", "11",
+            "--workers", "1", "--out", str(tmp_path), "--quiet",
+        ])
+        assert code == 0
+        assert keygens == []
+
+    def test_notify_generates_one_key_per_seed(self, universe, keygens):
+        run_notify_sharded(universe, workers=2, testbed_seed=6, use_processes=False)
+        assert keygens == [6 + 4242]
+        run_notify_sharded(universe, workers=1, testbed_seed=6)
+        testbed = Testbed(universe, seed=6)
+        assert testbed.keypair.public.to_base64() == testbed.synth_config.dkim_key()
+        assert keygens == [6 + 4242]
 
 
 class TestMergeAlgebra:

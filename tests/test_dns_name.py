@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.dns.errors import EmptyLabel, NameTooLong
+from repro.dns.errors import EmptyLabel, NameError_, NameTooLong, NonAsciiLabel
 from repro.dns.name import Name, root
 
 
@@ -110,3 +110,45 @@ def test_child_is_subdomain(suffix_labels, prefix_labels):
     child = Name(tuple(prefix_labels) + tuple(suffix_labels))
     assert child.is_subdomain_of(suffix)
     assert child.relativize(suffix) == tuple(prefix_labels)
+
+
+# Labels as the wire decoder yields them: 1-63 ASCII octets, any casing,
+# dots and control characters included.
+_wire_label = st.text(alphabet=st.characters(max_codepoint=127), min_size=1, max_size=63)
+
+
+@given(st.lists(_wire_label, max_size=8))
+def test_trusted_constructor_agrees_with_validating_one(labels):
+    labels = tuple(labels)
+    try:
+        checked = Name(labels)
+    except NameTooLong:
+        with pytest.raises(NameTooLong):
+            Name.trusted(labels)
+        assert sum(len(label) + 1 for label in labels) + 1 > 255
+        return
+    trusted = Name.trusted(labels)
+    assert trusted.labels == checked.labels
+    assert trusted.key == checked.key
+    assert hash(trusted) == hash(checked)
+    assert trusted == checked
+
+
+def test_copy_shares_labels_and_key():
+    name = Name("Mixed.Case.Example")
+    copy = Name(name)
+    assert copy.key is name.key
+    assert copy.labels is name.labels
+
+
+class TestForeignText:
+    def test_invalid_text_compares_unequal(self):
+        assert not Name("a.b") == "a..b"
+        assert not Name("a.b") == "x" * 70
+        assert Name("a.b") != "é.b"
+
+    def test_non_ascii_label_is_a_name_error(self):
+        with pytest.raises(NonAsciiLabel):
+            Name("é.b")
+        with pytest.raises(NameError_):
+            Name(("b", "é"))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from repro.dmarc.record import DmarcRecord
 from repro.dns import wire
 from repro.dns.cache import TtlCache
-from repro.dns.errors import WireError
+from repro.dns.errors import NameError_, WireError
 from repro.dns.message import Flags, Message, Question
 from repro.dns.name import Name
 from repro.dns.rdata import (
@@ -230,6 +230,21 @@ def test_ttl_cache_never_serves_stale(operations):
                 expiry, value = expiry_value
                 assert got == value
                 assert now < expiry
+
+
+# -- DNS names -----------------------------------------------------------------
+
+
+@settings(max_examples=500)
+@given(st.text(max_size=300))
+def test_name_total_and_comparable(text):
+    """Any text either builds a Name or raises NameError_, and comparing a
+    name with any text never raises."""
+    try:
+        Name(text)
+    except NameError_:
+        pass
+    assert isinstance(Name("a.b") == text, bool)
 
 
 # -- DNS wire codec ----------------------------------------------------------

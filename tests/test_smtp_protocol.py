@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.smtp import protocol
 from repro.smtp.errors import SmtpProtocolError
 from repro.smtp.protocol import (
+    REPLY_MEMO_LIMIT,
     Mailbox,
     Reply,
     dot_stuff,
@@ -50,6 +52,29 @@ class TestReply:
 
     def test_text_joins_lines(self):
         assert Reply(250, ["a", "b"]).text == "a b"
+
+
+class TestReplyMemo:
+    def test_memoised_parse_equals_fresh_parse(self):
+        data = b"250-mx.example\r\n250-8BITMIME\r\n250 SIZE 10485760\r\n"
+        first = Reply.from_bytes(data)
+        assert Reply.from_bytes(data) == first
+        assert protocol._decode_reply.__wrapped__(data) == first
+
+    def test_failures_are_never_cached(self):
+        data = b"2x0 nope\r\n"
+        for _ in range(2):
+            with pytest.raises(SmtpProtocolError):
+                Reply.from_bytes(data)
+
+    def test_tables_stay_bounded(self):
+        for index in range(REPLY_MEMO_LIMIT + 100):
+            reply = Reply(250, "OK %d" % index)
+            assert Reply.from_bytes(reply.to_bytes()) == reply
+        for table in (protocol._encode_reply, protocol._decode_reply):
+            info = table.cache_info()
+            assert info.maxsize == REPLY_MEMO_LIMIT
+            assert info.currsize <= REPLY_MEMO_LIMIT
 
 
 class TestCommand:

@@ -197,3 +197,15 @@ def test_unfriendly_banner_raises():
     with pytest.raises(SmtpClientError) as info:
         SmtpClient.connect(network, CLIENT_IP, SERVER_IP, 0.0)
     assert info.value.reply.code == 554
+
+
+class TestPipelining:
+    def test_two_lines_in_one_request_match_two_requests(self, net_and_sessions):
+        network, _ = net_and_sessions
+        lines = ["EHLO x\r\n", "MAIL FROM:<a@b>\r\n"]
+        client, t = _connect(network)
+        separate = [client.channel.request(line.encode(), t)[0] for line in lines]
+        client, t = _connect(network)
+        together, _ = client.channel.request("".join(lines).encode(), t)
+        assert together == b"".join(separate)
+        assert [Reply.from_bytes(r).code for r in separate] == [250, 250]
