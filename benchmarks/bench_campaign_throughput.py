@@ -22,7 +22,7 @@ import time
 import pytest
 
 from benchmarks.conftest import SEED, emit, record_bench
-from repro.core.campaign import NotifyEmailCampaign, ProbeCampaign, Testbed
+from repro.core.campaign import NotifyEmailCampaign, ProbeCampaign, Testbed, eligible_probe_mtas
 from repro.core.datasets import DatasetSpec, generate_universe
 from repro.core.parallel import run_probe_sharded
 
@@ -62,7 +62,7 @@ def test_bench_notify_delivery(benchmark, small_testbed):
 def test_bench_probe_conversation(benchmark, small_testbed):
     universe, testbed = small_testbed
     campaign = ProbeCampaign(testbed, "bench", testids=["t12"])
-    pairs = campaign.eligible_mtas()
+    pairs = eligible_probe_mtas(universe)
     assert pairs
     probe = campaign.probe
     host, rcpt_domain = pairs[0]

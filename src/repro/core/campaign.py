@@ -22,10 +22,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.datasets import Domain, MtaHost, Universe, stable_hash64
-from repro.core.policies import POLICIES, policy_by_id
-from repro.core.preflight import preflight_policies
+from repro.core.policies import POLICIES
 from repro.core.probe import ProbeClient, ProbeResult
-from repro.core.querylog import AttributedQuery, QueryIndex, attribute_queries
+from repro.core.querylog import QueryIndex, attribute_queries
 from repro.core.synth import SynthConfig, SynthesizingAuthority
 from repro.dkim.rsa import RsaKeyPair, generate_keypair
 from repro.dkim.sign import DkimSigner
@@ -45,6 +44,11 @@ from repro.smtp.message import EmailMessage
 SENDER_IPV4 = "203.0.113.250"
 SENDER_IPV6 = "2001:db8:fe::250"
 UNIVERSE_DNS_IP = "198.51.100.99"
+
+#: Seconds between the starts of two consecutive MTAs' probe series (§5.2).
+PROBE_STAGGER = 1.0
+#: Seconds between two consecutive NotifyEmail deliveries (§6.1).
+NOTIFY_SPACING = 2.0
 
 
 def apply_reputation_effects(
@@ -177,11 +181,8 @@ class Testbed:
 
     # -- log access ------------------------------------------------------
 
-    def attributed_queries(self) -> List[AttributedQuery]:
-        return attribute_queries(self.synth.query_log, self.synth_config)
-
     def query_index(self) -> QueryIndex:
-        return QueryIndex(self.attributed_queries())
+        return QueryIndex(attribute_queries(self.synth.query_log, self.synth_config))
 
 
 # -- schedules ------------------------------------------------------------
@@ -213,21 +214,16 @@ class ProbeTask:
     order: Tuple[str, ...]  # testids, in probing order
 
 
-def notify_schedule(
-    domains: Sequence[Domain], spacing: float = 2.0, start_time: float = 0.0
-) -> List[NotifyTask]:
-    """One delivery per domain, ``spacing`` seconds apart."""
-    return [
-        NotifyTask(domain, start_time + position * spacing)
-        for position, domain in enumerate(domains)
-    ]
+def notify_schedule(domains: Sequence[Domain]) -> List[NotifyTask]:
+    """One delivery per domain, :data:`NOTIFY_SPACING` seconds apart."""
+    return [NotifyTask(domain, position * NOTIFY_SPACING) for position, domain in enumerate(domains)]
 
 
 def eligible_probe_mtas(universe: Universe) -> List[Tuple[MtaHost, str]]:
     """(host, recipient_domain) pairs: every MTA with a usable address,
     paired with one of the domains that designates it (Section 5.2).
-    Sorted by mtaid so downstream shuffles and ``limit_mtas`` slices are
-    reproducible whatever the dict/hash order of the universe."""
+    Sorted by mtaid so the schedule's seeded shuffle is reproducible
+    whatever the dict/hash order of the universe."""
     recipient: Dict[str, str] = {}
     for domain in universe.domains:
         if domain.resolution_failed:
@@ -246,31 +242,27 @@ def probe_schedule(
     universe: Universe,
     testids: Sequence[str],
     seed: int = 0,
-    stagger: float = 1.0,
     start_time: float = 0.0,
-    limit_mtas: Optional[int] = None,
 ) -> List[ProbeTask]:
-    """The probe campaign's full schedule.
+    """The probe campaign's full schedule, one MTA every
+    :data:`PROBE_STAGGER` seconds from ``start_time``.
 
     The MTA order is one seeded shuffle over the (sorted) eligible pairs
-    — Section 5.2's decorrelation of same-domain MTAs — sliced *after*
-    shuffling when ``limit_mtas`` is given.  Each MTA's per-policy order
-    comes from its own RNG, derived from ``(seed, mtaid)`` via a stable
-    hash: sequential draws from one shared stream would make an MTA's
-    order depend on every MTA scheduled before it, which is exactly what
-    a sharded run cannot reproduce.
+    — Section 5.2's decorrelation of same-domain MTAs.  Each MTA's
+    per-policy order comes from its own RNG, derived from ``(seed,
+    mtaid)`` via a stable hash: sequential draws from one shared stream
+    would make an MTA's order depend on every MTA scheduled before it,
+    which is exactly what a sharded run cannot reproduce.
     """
     rng = random.Random(seed)
     pairs = eligible_probe_mtas(universe)
     rng.shuffle(pairs)
-    if limit_mtas is not None:
-        pairs = pairs[:limit_mtas]
     tasks = []
     for position, (host, rcpt_domain) in enumerate(pairs):
         order = list(testids)
         random.Random(stable_hash64("%d|%s" % (seed, host.mtaid))).shuffle(order)
         tasks.append(
-            ProbeTask(host, rcpt_domain, start_time + position * stagger, tuple(order))
+            ProbeTask(host, rcpt_domain, start_time + position * PROBE_STAGGER, tuple(order))
         )
     return tasks
 
@@ -295,12 +287,11 @@ class NotifyEmailResult:
 
 
 class NotifyEmailCampaign:
-    """Sends one legitimate signed notification per domain (Section 6.1)."""
+    """Sends one legitimate signed notification per domain (Section 6.1),
+    :data:`NOTIFY_SPACING` seconds apart from virtual time 0."""
 
-    def __init__(self, testbed: Testbed, spacing: float = 2.0, start_time: float = 0.0) -> None:
+    def __init__(self, testbed: Testbed) -> None:
         self.testbed = testbed
-        self.spacing = spacing
-        self.start_time = start_time
 
     def _message(self, from_address: str, to_address: str, t: float) -> EmailMessage:
         return EmailMessage(
@@ -324,7 +315,7 @@ class NotifyEmailCampaign:
         """The campaign's full schedule: one task per domain."""
         if domains is None:
             domains = self.testbed.universe.domains
-        return notify_schedule(domains, spacing=self.spacing, start_time=self.start_time)
+        return notify_schedule(domains)
 
     def run(
         self,
@@ -339,8 +330,8 @@ class NotifyEmailCampaign:
         tasks = schedule if schedule is not None else self.schedule(domains)
         deliveries: List[NotifyDelivery] = []
         obs = testbed.obs
-        t_last = self.start_time
-        with obs.tracer.span("campaign.run", self.start_time, campaign="notifyemail") as span:
+        t_last = 0.0
+        with obs.tracer.span("campaign.run", 0.0, campaign="notifyemail") as span:
             for task in tasks:
                 domain, t = task.domain, task.start_time
                 from_domain = "%s.%s" % (domain.domainid, testbed.synth_config.notify_suffix)
@@ -383,70 +374,43 @@ class ProbeCampaignResult:
     #: mtaid -> recipient domain used.
     recipient_domain: Dict[str, str] = field(default_factory=dict)
 
-    def results_for(self, mtaid: str) -> List[ProbeResult]:
-        return [r for r in self.results if r.mtaid == mtaid]
-
 
 class ProbeCampaign:
-    """Runs the 39-policy probe against every MTA (Sections 6.2, 6.3)."""
+    """Runs the 39-policy probe against every MTA (Sections 6.2, 6.3).
+
+    MTAs start :data:`PROBE_STAGGER` seconds apart from ``start_time``,
+    and each probe conversation is followed by the probe client's
+    :data:`~repro.core.probe.SLEEP_SECONDS`.  The policies are not
+    audited here: :func:`~repro.core.parallel.run_probe_sharded` runs the
+    static pre-flight once per campaign.
+    """
 
     def __init__(
         self,
         testbed: Testbed,
         name: str,
         testids: Optional[Sequence[str]] = None,
-        sleep_seconds: float = 15.0,
-        stagger: float = 1.0,
         start_time: float = 0.0,
         seed: int = 0,
-        preflight: bool = True,
     ) -> None:
         self.testbed = testbed
         self.name = name
         self.testids = list(testids) if testids is not None else [p.testid for p in POLICIES]
-        self.stagger = stagger
         self.start_time = start_time
         self.seed = seed
-        # Static pre-flight: audit every selected policy's SPF graph before
-        # probing anything.  Purely offline — it reads the policies' record
-        # maps through repro.lint, issues zero simulated DNS queries, and
-        # therefore cannot perturb the query log the analyses are built on.
-        # Pathological findings are the point of the policies; only a policy
-        # publishing no SPF record at all aborts (PreflightError).
-        self.preflight_audits = (
-            preflight_policies(policy_by_id(testid) for testid in self.testids)
-            if preflight
-            else {}
-        )
-        self.probe = ProbeClient(
-            testbed.network, testbed.synth_config, sleep_seconds=sleep_seconds, obs=testbed.obs
-        )
+        self.probe = ProbeClient(testbed.network, testbed.synth_config, obs=testbed.obs)
 
-    def eligible_mtas(self) -> List[Tuple[MtaHost, str]]:
-        """See :func:`eligible_probe_mtas` (sorted by mtaid)."""
-        return eligible_probe_mtas(self.testbed.universe)
-
-    def schedule(self, limit_mtas: Optional[int] = None) -> List[ProbeTask]:
+    def schedule(self) -> List[ProbeTask]:
         """The campaign's full schedule (see :func:`probe_schedule`)."""
         return probe_schedule(
-            self.testbed.universe,
-            self.testids,
-            seed=self.seed,
-            stagger=self.stagger,
-            start_time=self.start_time,
-            limit_mtas=limit_mtas,
+            self.testbed.universe, self.testids, seed=self.seed, start_time=self.start_time
         )
 
-    def run(
-        self,
-        limit_mtas: Optional[int] = None,
-        schedule: Optional[Iterable[ProbeTask]] = None,
-    ) -> ProbeCampaignResult:
-        """Execute ``schedule`` (default: the full schedule, optionally
-        limited to the first ``limit_mtas`` shuffled MTAs).  Each task
+    def run(self, schedule: Optional[Iterable[ProbeTask]] = None) -> ProbeCampaignResult:
+        """Execute ``schedule`` (default: the full schedule).  Each task
         carries its own start time and per-policy order, so a worker
         executing any subset reproduces the serial timing exactly."""
-        tasks = schedule if schedule is not None else self.schedule(limit_mtas)
+        tasks = schedule if schedule is not None else self.schedule()
         results: List[ProbeResult] = []
         probed: Dict[str, MtaHost] = {}
         recipients: Dict[str, str] = {}

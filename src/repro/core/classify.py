@@ -122,11 +122,6 @@ def count_void_targets(queries: List[AttributedQuery], prefix: str = "v", total:
     return len(seen)
 
 
-def count_exists_void_targets(queries: List[AttributedQuery]) -> int:
-    """t33 variant of the void counter."""
-    return count_void_targets(queries, prefix="w")
-
-
 def did_mx_fallback(queries: List[AttributedQuery]) -> Optional[bool]:
     """t07: None if the MTA never did the MX lookup; True if it then also
     issued the forbidden A/AAAA query for the same name."""

@@ -252,18 +252,6 @@ class Universe:
     mtas: List[MtaHost]
     asmap: AsMap
 
-    def domain_by_name(self, name: str) -> Optional[Domain]:
-        for domain in self.domains:
-            if domain.name == name:
-                return domain
-        return None
-
-    def mta_by_id(self, mtaid: str) -> Optional[MtaHost]:
-        for mta in self.mtas:
-            if mta.mtaid == mtaid:
-                return mta
-        return None
-
     @property
     def unique_ipv4(self) -> List[str]:
         return [mta.ipv4 for mta in self.mtas if mta.ipv4]

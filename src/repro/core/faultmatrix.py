@@ -153,14 +153,9 @@ def run_fault_matrix(
         testbed = Testbed(
             universe, seed=seed, obs=obs if obs is not None else NULL_OBS, faults=faults
         )
-        campaign = ProbeCampaign(
-            testbed,
-            "FaultMatrix:%s" % label,
-            testids=list(testids),
-            seed=seed,
-            preflight=False,
-        )
-        result = campaign.run()
+        result = ProbeCampaign(
+            testbed, "FaultMatrix:%s" % label, testids=list(testids), seed=seed
+        ).run()
         matrix.outcomes.append(
             ScenarioOutcome(
                 label=label,

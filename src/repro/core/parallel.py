@@ -45,9 +45,9 @@ outside the :class:`ShardJob`: a multiprocessing lock crosses process
 boundaries only by inheritance, and a job must stay picklable.  A failed
 unit or a worker that dies without reporting raises :class:`ShardError`
 naming the worker slot (and the unit, when known); no worker outlives
-the call.  Span objects never cross a pipe: worker processes
-reconcile them against their own query logs on request
-(``reconcile=True``) and send home only the verdict.
+the call.  Span objects never cross a pipe: whenever obs is on, every
+worker reconciles its spans against its own query log and sends home
+only the verdict.
 """
 
 from __future__ import annotations
@@ -149,8 +149,9 @@ class ShardJob:
     testbed_seed: int
     #: Keyword arguments of the campaign class, after the testbed.
     options: Dict[str, object]
+    #: Collect metrics and spans, and reconcile the spans against the
+    #: worker's query log.
     obs_enabled: bool = True
-    reconcile: bool = False
     #: In-process runs only: the unit index of each task this job runs,
     #: in schedule order.  A worker process pulls from the shared queue.
     deal: Optional[Tuple[int, ...]] = None
@@ -175,7 +176,7 @@ class ShardResult:
     #: The worker's finished spans; emptied before a worker process
     #: reports, so spans never cross a pipe.
     spans: List[Span] = field(default_factory=list)
-    #: Per-worker span/query-log reconciliation verdict (None if not run).
+    #: Per-worker span/query-log reconciliation verdict (None without obs).
     reconciled: Optional[bool] = None
 
 
@@ -197,7 +198,7 @@ class MergedCampaign:
     metrics: Optional[MetricsRegistry]
     span_count: int
     #: False if any worker's span/query-log reconciliation failed;
-    #: None when reconciliation was not requested.
+    #: None without obs.
     reconciled: Optional[bool] = None
     #: One-worker runs only: the finished spans, in completion order.
     spans: Optional[List[Span]] = None
@@ -258,11 +259,10 @@ def run_shard(job: ShardJob) -> ShardResult:
         result.metrics = obs.metrics
         result.spans = obs.tracer.finished
         result.span_count = len(result.spans)
-        if job.reconcile:
-            from repro.obs.reconcile import reconcile_spans
+        from repro.obs.reconcile import reconcile_spans
 
-            verdict = reconcile_spans(obs.tracer.finished, outcome.index, testbed.synth_config)
-            result.reconciled = verdict.matched
+        verdict = reconcile_spans(obs.tracer.finished, outcome.index, testbed.synth_config)
+        result.reconciled = verdict.matched
     return result
 
 
@@ -458,23 +458,23 @@ def run_notify_sharded(
     universe: Universe,
     workers: Optional[int] = None,
     testbed_seed: int = 0,
-    spacing: float = 2.0,
-    start_time: float = 0.0,
     obs: bool = True,
-    reconcile: bool = False,
     use_processes: bool = True,
     faults_spec: str = "",
     faults_seed: int = 0,
 ) -> MergedCampaign:
-    """The NotifyEmail campaign over ``workers`` worker processes.
+    """The NotifyEmail campaign over ``workers`` worker processes, one
+    delivery every :data:`~repro.core.campaign.NOTIFY_SPACING` seconds.
 
     Produces deliveries, an attributed query index, and metrics
     content-identical to ``NotifyEmailCampaign(Testbed(universe,
     seed=testbed_seed)).run()``; with one worker, the same spans too.
+    With ``obs``, every worker reconciles its spans against its own query
+    log (:attr:`MergedCampaign.reconciled`).
     """
     synth_config = make_synth_config(testbed_seed)
     synth_config.dkim_key()  # generated once, before the fork: workers inherit it
-    schedule = notify_schedule(universe.domains, spacing=spacing, start_time=start_time)
+    schedule = notify_schedule(universe.domains)
     return _run_parallel(
         _NOTIFY_CAMPAIGN,
         schedule,
@@ -485,8 +485,7 @@ def run_notify_sharded(
         obs,
         universe=universe,
         testbed_seed=testbed_seed,
-        options={"spacing": spacing, "start_time": start_time},
-        reconcile=reconcile,
+        options={},
         faults_spec=faults_spec,
         faults_seed=faults_seed,
     )
@@ -499,32 +498,31 @@ def run_probe_sharded(
     workers: Optional[int] = None,
     testbed_seed: int = 0,
     campaign_seed: int = 0,
-    sleep_seconds: float = 15.0,
-    stagger: float = 1.0,
     start_time: float = 0.0,
-    preflight: bool = True,
     obs: bool = True,
-    reconcile: bool = False,
     use_processes: bool = True,
     faults_spec: str = "",
     faults_seed: int = 0,
 ) -> MergedCampaign:
     """The probe campaign (NotifyMX / TwoWeekMX) over ``workers`` workers.
 
-    Produces results, an attributed query index, and metrics
-    content-identical to ``ProbeCampaign(Testbed(universe,
-    seed=testbed_seed), name, seed=campaign_seed, ...).run()``; with one
-    worker, the same spans too.  ``preflight`` audits the policies once,
-    here, and raises :class:`~repro.core.preflight.PreflightError` when
-    one publishes no SPF record.
+    MTAs start :data:`~repro.core.campaign.PROBE_STAGGER` seconds apart
+    from ``start_time``, and every probe is followed by
+    :data:`~repro.core.probe.SLEEP_SECONDS`.  Produces results, an
+    attributed query index, and metrics content-identical to
+    ``ProbeCampaign(Testbed(universe, seed=testbed_seed), name,
+    seed=campaign_seed, ...).run()``; with one worker, the same spans too.
+    With ``obs``, every worker reconciles its spans against its own query
+    log (:attr:`MergedCampaign.reconciled`).  First, the static
+    pre-flight (:mod:`repro.core.preflight`, no simulated DNS query)
+    audits every policy once and raises
+    :class:`~repro.core.preflight.PreflightError` when one publishes no
+    SPF record.
     """
     testid_list = tuple(testids) if testids is not None else tuple(p.testid for p in POLICIES)
-    if preflight:
-        preflight_policies(policy_by_id(t) for t in testid_list)
+    preflight_policies(policy_by_id(t) for t in testid_list)
     synth_config = make_synth_config(testbed_seed)
-    schedule = probe_schedule(
-        universe, testid_list, seed=campaign_seed, stagger=stagger, start_time=start_time
-    )
+    schedule = probe_schedule(universe, testid_list, seed=campaign_seed, start_time=start_time)
     return _run_parallel(
         _PROBE_CAMPAIGN,
         schedule,
@@ -536,16 +534,7 @@ def run_probe_sharded(
         name=name,
         universe=universe,
         testbed_seed=testbed_seed,
-        options={
-            "name": name,
-            "testids": testid_list,
-            "sleep_seconds": sleep_seconds,
-            "stagger": stagger,
-            "start_time": start_time,
-            "seed": campaign_seed,
-            "preflight": False,  # the coordinator audited the policies once
-        },
-        reconcile=reconcile,
+        options={"name": name, "testids": testid_list, "start_time": start_time, "seed": campaign_seed},
         faults_spec=faults_spec,
         faults_seed=faults_seed,
     )

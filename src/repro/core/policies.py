@@ -160,11 +160,6 @@ class TestPolicy:
                 return specs
         return None
 
-    def all_names_hint(self) -> List[Tuple[str, ...]]:
-        """The concrete sublabel paths (patterns excluded) — used by tests
-        and documentation tooling."""
-        return [key for key in self.records if "*" not in key and "**" not in key]
-
     def __repr__(self) -> str:
         return "TestPolicy(%s, %s)" % (self.testid, self.name)
 

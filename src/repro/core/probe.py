@@ -23,6 +23,9 @@ from repro.smtp.protocol import Reply
 #: The paper's recipient guesses, in order; postmaster is the fallback.
 DEFAULT_USERNAMES: Tuple[str, ...] = ("michael", "john.smith", "support", "postmaster")
 
+#: The paper's sleep before MAIL, RCPT and DATA, and after each probe.
+SLEEP_SECONDS = 15.0
+
 
 @dataclass
 class ProbeResult:
@@ -68,7 +71,7 @@ class ProbeClient:
         self,
         network: Network,
         config: Optional[SynthConfig] = None,
-        sleep_seconds: float = 15.0,
+        sleep_seconds: float = SLEEP_SECONDS,
         usernames: Sequence[str] = DEFAULT_USERNAMES,
         obs: Optional[Observability] = None,
     ) -> None:

@@ -81,6 +81,20 @@ from repro.obs.spans import save_spans
 EXPERIMENTS = ("notifyemail", "notifymx", "twoweekmx")
 
 
+def _positive(kind):
+    """An argparse type: ``kind(text)``, rejected unless it is finite and
+    above 0."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not 0 < value < float("inf"):
+            raise argparse.ArgumentTypeError("must be finite and above 0, got %r" % text)
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in its errors
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.core.runner",
@@ -93,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="which experiment to run (default: all; 'faultmatrix' replays the "
         "probe under every fault kind and is never part of 'all')",
     )
-    parser.add_argument("--scale", type=float, default=0.01, help="universe scale factor (default 0.01)")
+    parser.add_argument("--scale", type=_positive(float), default=0.01, help="universe scale factor (default 0.01)")
     parser.add_argument("--seed", type=int, default=2021, help="master RNG seed")
     parser.add_argument("--out", type=Path, default=Path("results"), help="output directory")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
@@ -104,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_positive(int),
         default=default_workers(),
         help="workers pulling campaign units from one work queue "
         "(default: one per CPU; 1 = one in-process worker)",
@@ -151,8 +165,7 @@ def _engine_params(args) -> dict:
     master seed, so ``--seed`` stays the single reproducibility knob;
     each worker rebuilds an identical plan, and its pure per-event hash
     draws make the same decisions whichever worker runs a unit."""
-    obs = not args.no_obs
-    params = {"workers": args.workers, "obs": obs, "reconcile": obs}
+    params = {"workers": args.workers, "obs": not args.no_obs}
     if args.faults:
         params.update(faults_spec=args.faults, faults_seed=derive_fault_seed(args.faults, args.seed))
     return params

@@ -9,10 +9,8 @@ DMARC validation emits the ``_dmarc.*`` TXT queries the paper counts.
 from repro.dmarc.evaluate import DmarcDisposition, DmarcEvaluator, DmarcOutcome, DmarcResult
 from repro.dmarc.psl import PublicSuffixList, organizational_domain
 from repro.dmarc.record import AlignmentMode, DmarcPolicy, DmarcRecord
-from repro.dmarc.report import AggregateReport, ReportRow, build_aggregate_report
 
 __all__ = [
-    "AggregateReport",
     "AlignmentMode",
     "DmarcDisposition",
     "DmarcEvaluator",
@@ -21,7 +19,5 @@ __all__ = [
     "DmarcRecord",
     "DmarcResult",
     "PublicSuffixList",
-    "ReportRow",
-    "build_aggregate_report",
     "organizational_domain",
 ]

@@ -106,12 +106,6 @@ class PolicyFootprint:
                 matched.append(pattern)
         return matched
 
-    def permitted_qtypes(self, experiment: str, sub: Tuple[str, ...]) -> frozenset:
-        permitted: Set[RdataType] = set()
-        for pattern in self.match(experiment, sub):
-            permitted |= pattern.qtypes
-        return frozenset(permitted)
-
 
 class _FootprintBuilder:
     """Derives a :class:`PolicyFootprint` by walking the policy's own

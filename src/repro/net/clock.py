@@ -58,17 +58,6 @@ class Clock:
         self._now += seconds
         return self._now
 
-    def advance_to(self, timestamp: float) -> float:
-        """Move time forward to ``timestamp`` if it is in the future.
-
-        Moving to a past timestamp is a no-op rather than an error, which is
-        what a caller joining several parallel activities wants: it advances
-        to each completion time in arbitrary order and ends up at the max.
-        """
-        if timestamp > self._now:
-            self._now = float(timestamp)
-        return self._now
-
     def sleep(self, seconds: float) -> float:
         """Alias of :meth:`advance`, for call sites modelling a real sleep."""
         return self.advance(seconds)

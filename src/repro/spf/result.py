@@ -19,10 +19,6 @@ class SpfResult(enum.Enum):
     PERMERROR = "permerror"
 
     @property
-    def is_definitive_pass(self) -> bool:
-        return self is SpfResult.PASS
-
-    @property
     def is_error(self) -> bool:
         return self in (SpfResult.TEMPERROR, SpfResult.PERMERROR)
 

@@ -177,10 +177,3 @@ class TestUniverseShape:
         top = [d for d in universe.domains if d.alexa_rank is not None]
         rest = [d for d in universe.domains if d.alexa_rank is None]
         assert dmarc_rate(top) > dmarc_rate(rest)
-
-    def test_universe_lookup_helpers(self, notify_universe):
-        domain = notify_universe.domains[0]
-        assert notify_universe.domain_by_name(domain.name) is domain
-        host = notify_universe.mtas[0]
-        assert notify_universe.mta_by_id(host.mtaid) is host
-        assert notify_universe.domain_by_name("no.such.domain") is None

@@ -26,6 +26,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--experiment", "bogus"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--workers", "0"], ["--workers", "-2"], ["--scale", "0"], ["--scale", "-1"], ["--scale", "inf"]],
+        ids=["workers0", "workers-2", "scale0", "scale-1", "scale-inf"],
+    )
+    def test_rejects_impossible_sizes(self, argv, capsys):
+        with pytest.raises(SystemExit) as caught:
+            build_parser().parse_args(argv)
+        assert caught.value.code == 2
+        assert "must be finite and above 0" in capsys.readouterr().err
+
     def test_faults_default_absent(self):
         args = build_parser().parse_args([])
         assert args.faults is None

@@ -62,6 +62,28 @@ class TestModuleDocstrings:
                 missing.append(str(path.relative_to(SRC)))
         assert not missing, "modules without a real docstring: %s" % missing
 
+    def test_design_tree_lists_every_module(self):
+        """DESIGN.md §6 names exactly the modules each subpackage ships
+        (``__init__.py`` aside)."""
+        design = (REPO / "DESIGN.md").read_text(encoding="utf-8")
+        tree = design.split("## 6. Repository layout", 1)[1].split("```")[1]
+        listed = {}
+        package = None
+        for line in tree.splitlines():
+            start = re.match(r"^  (\w+)/(.*)$", line)
+            if start:
+                package, line = start.group(1), start.group(2)
+            elif not line.startswith("    "):
+                package = None
+            if package is not None:
+                listed.setdefault(package, set()).update(re.findall(r"\w+\.py", line))
+        on_disk = {
+            child.name: {path.name for path in child.glob("*.py")} - {"__init__.py"}
+            for child in (SRC / "repro").iterdir()
+            if (child / "__init__.py").exists()
+        }
+        assert listed == on_disk
+
     def test_architecture_table_names_every_subpackage(self):
         readme = (REPO / "README.md").read_text(encoding="utf-8")
         for child in sorted((SRC / "repro").iterdir()):

@@ -4,6 +4,7 @@ full SPF/DKIM/DMARC pipeline."""
 import pytest
 
 from repro.dkim import DkimSigner, KeyRecord, generate_keypair
+from repro.dmarc import DmarcDisposition
 from repro.dns.rdata import TxtRecord
 from repro.mta.behavior import MtaBehavior, SpfTrigger
 from repro.mta.receiver import ReceivingMta
@@ -280,6 +281,32 @@ class TestMessagePipeline:
         reply, t = client.send_message(message, t)
         assert reply.code == 250
         assert len(mta.deliveries) == 1
+
+    def test_non_enforcing_mta_still_records_the_disposition(self, world):
+        """Unaligned, unsigned mail under ``p=quarantine`` gets 250 from a
+        receiver that does not enforce DMARC, but the receiver still
+        evaluated it: the dmarc record carries the quarantine verdict."""
+        zone = world.zone("lenient.example")
+        zone.add("lenient.example", TxtRecord("v=spf1 ip4:%s -all" % CLIENT_IP))
+        zone.add("_dmarc.lenient.example", TxtRecord("v=DMARC1; p=quarantine"))
+        spoofer_ip = "203.0.113.66"
+        world.network.add_address(spoofer_ip)
+        mta = _mta(world, MtaBehavior(accepts_any_recipient=True, enforces_dmarc=False))
+        message = EmailMessage(
+            [("From", "user@lenient.example"), ("To", "bob@rcpt.example")], "click me\r\n"
+        )
+        client, t = SmtpClient.connect(world.network, spoofer_ip, MTA_IP, 0.0)
+        _, t = client.ehlo("evil.example", t)
+        _, t = client.mail("user@lenient.example", t)
+        _, t = client.rcpt("bob@rcpt.example", t)
+        _, t = client.data_command(t)
+        reply, t = client.send_message(message, t)
+        assert reply.code == 250
+        (dmarc,) = [v for v in mta.validations if v.kind == "dmarc"]
+        assert dmarc.domain == "lenient.example"
+        assert dmarc.client_ip == spoofer_ip
+        assert dmarc.detail.disposition is DmarcDisposition.QUARANTINE
+        assert dmarc.detail.spf_aligned is False
 
     def test_acceptance_delay_visible_to_sender(self, world):
         behavior = MtaBehavior(accepts_any_recipient=True, acceptance_delay=30.0)

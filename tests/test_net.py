@@ -27,16 +27,6 @@ class TestClock:
         with pytest.raises(ValueError):
             Clock().advance(-0.1)
 
-    def test_advance_to_future(self):
-        clock = Clock(10.0)
-        clock.advance_to(20.0)
-        assert clock.now == 20.0
-
-    def test_advance_to_past_is_noop(self):
-        clock = Clock(10.0)
-        clock.advance_to(5.0)
-        assert clock.now == 10.0
-
     def test_sleep_is_advance(self):
         clock = Clock()
         clock.sleep(15.0)

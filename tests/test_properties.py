@@ -10,7 +10,9 @@ import string
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dmarc.record import DmarcRecord
+from repro.dkim.errors import DkimKeyError, DkimSignatureError
+from repro.dkim.signature import DkimSignature, KeyRecord
+from repro.dmarc.record import DmarcRecord, DmarcRecordError
 from repro.dns import wire
 from repro.dns.cache import TtlCache
 from repro.dns.errors import NameError_, WireError
@@ -31,7 +33,7 @@ from repro.dns.rdata import (
 )
 from repro.smtp.errors import SmtpProtocolError
 from repro.smtp.protocol import Reply
-from repro.spf.errors import SpfSyntaxError
+from repro.spf.errors import SpfError, SpfSyntaxError
 from repro.spf.macros import MacroContext, expand_macros
 from repro.spf.parser import parse_record
 from repro.spf.result import SpfResult
@@ -107,6 +109,95 @@ def test_spf_parser_total_on_garbage(text):
     try:
         parse_record("v=spf1 " + text)
     except SpfSyntaxError:
+        pass
+
+
+# -- record parser totality ----------------------------------------------------
+#
+# A record arriving from DNS is outside input: whatever its text, each
+# parser returns or raises its own layer's error, never anything else.
+
+
+def _tag_record(required, tags, values):
+    """A ``tag=value`` record whose required tags hold valid values, so
+    parsing gets past them, plus up to six of the record type's own tags
+    (or arbitrary ones) with telling values or arbitrary text.  An extra
+    tag may override a required one."""
+    value = st.one_of(st.sampled_from(values), st.text(max_size=20))
+    extra = st.dictionaries(st.one_of(st.sampled_from(tags), st.text(max_size=6)), value, max_size=6)
+    return extra.map(lambda more: "; ".join("%s=%s" % tag for tag in {**required, **more}.items()))
+
+
+_spf_input = st.one_of(
+    st.text(max_size=80),
+    st.lists(st.one_of(_term, st.text(max_size=12)), max_size=8).map(
+        lambda terms: "v=spf1 " + " ".join(terms)
+    ),
+)
+_dmarc_input = st.one_of(
+    st.text(max_size=80),
+    _tag_record(
+        {"v": "DMARC1", "p": "none"},
+        ["v", "p", "sp", "aspf", "adkim", "pct", "rua", "ruf", "fo", "rf", "ri"],
+        ["DMARC1", "none", "quarantine", "reject", "r", "s", "0", "100", "101", "-1", "1e2",
+         "mailto:a@b.example", "", "0:1:d:s", "afrf", "86400", "٣"],
+    ),
+)
+_dkim_key_input = st.one_of(
+    st.text(max_size=80),
+    _tag_record(
+        {"v": "DKIM1", "p": "MFwwDQYJKoZIhvcNAQEBBQADSwAwSAJBAA=="},
+        ["v", "k", "p", "h", "s", "t", "n"],
+        ["DKIM1", "DKIM2", "rsa", "ed25519", "", "!!", "sha256", "sha1:sha256", "*",
+         "email", "y", "s", "y:s"],
+    ),
+)
+_dkim_signature_input = st.one_of(
+    st.text(max_size=80),
+    _tag_record(
+        {"v": "1", "a": "rsa-sha256", "d": "example.com", "s": "sel", "h": "from:to",
+         "bh": "AAAA", "b": "AAAA"},
+        ["v", "a", "d", "s", "h", "bh", "b", "c", "i", "l", "q", "t", "x", "z"],
+        ["1", "2", "rsa-sha256", "rsa-sha1", "ed25519-sha256", "example.com", "sel",
+         "from:to", "to", "", "relaxed/simple", "simple", "relaxed/bogus", "AAAA", "!!", "-1",
+         "99999999999999999999", "٣", "dns/txt", "@example.com"],
+    ),
+)
+
+
+@settings(max_examples=200)
+@given(_spf_input)
+def test_spf_parse_record_raises_only_spf_error(text):
+    try:
+        parse_record(text)
+    except SpfError:
+        pass
+
+
+@settings(max_examples=200)
+@given(_dmarc_input)
+def test_dmarc_from_text_raises_only_record_error(text):
+    try:
+        DmarcRecord.from_text(text)
+    except DmarcRecordError:
+        pass
+
+
+@settings(max_examples=200)
+@given(_dkim_key_input)
+def test_dkim_key_from_text_raises_only_key_error(text):
+    try:
+        KeyRecord.from_text(text)
+    except DkimKeyError:
+        pass
+
+
+@settings(max_examples=200)
+@given(_dkim_signature_input)
+def test_dkim_signature_parse_raises_only_signature_error(text):
+    try:
+        DkimSignature.from_header_value(text)
+    except DkimSignatureError:
         pass
 
 
