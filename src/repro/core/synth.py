@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.policies import (
     NOTIFY_POLICY,
@@ -33,7 +33,7 @@ from repro.core.policies import (
 )
 from repro.dns.message import Message
 from repro.dns.name import Name
-from repro.dns.rdata import Rcode, RdataType, SoaRecord
+from repro.dns.rdata import Rcode, RdataType, ResourceRecord, SoaRecord
 from repro.dns.resolver import AuthorityDirectory
 from repro.dns.server import AuthoritativeServer
 from repro.net.network import Network
@@ -95,9 +95,22 @@ class SynthesizingAuthority(AuthoritativeServer):
         super().__init__(zones=[], obs=obs, faults=faults)
         self.config = config if config is not None else SynthConfig()
         self._policies = {policy.testid: policy for policy in self.config.policies}
-        self._probe_suffix = Name(self.config.probe_suffix)
-        self._v6_suffix = Name(self.config.v6_suffix)
-        self._notify_suffix = Name(self.config.notify_suffix)
+        config = self.config
+        self._probe_suffix = Name(config.probe_suffix)
+        self._v6_suffix = Name(config.v6_suffix)
+        self._notify_suffix = Name(config.notify_suffix)
+        # Per served suffix, in matching order: its name, its experiment
+        # label, the SOA it publishes (``ns1.<suffix>`` with the abuse
+        # contact of s5.3 as RNAME) and the authority record negative
+        # answers carry.  Built once: none of them ever varies.
+        self._suffixes: List[Tuple[Name, str, SoaRecord, ResourceRecord]] = []
+        for suffix, experiment in (
+            (self._probe_suffix, "probe"),
+            (self._v6_suffix, "v6"),
+            (self._notify_suffix, "notify"),
+        ):
+            soa = SoaRecord(Name(("ns1",) + suffix.labels), config.contact_rname)
+            self._suffixes.append((suffix, experiment, soa, ResourceRecord(suffix, config.ttl, soa)))
         self.response_delay = self._policy_delay
         self.force_tcp_for = self._policy_force_tcp
         # Per-query synthesis is pure (policies are static, the context is
@@ -215,71 +228,45 @@ class SynthesizingAuthority(AuthoritativeServer):
         if qname is None or qtype is None:
             response.flags.rcode = Rcode.FORMERR
             return response
-        suffix = self._owning_suffix(qname)
-        if suffix is None:
+        owner = self._owning_suffix(qname)
+        if owner is None:
             self._count_synth("foreign", "refused", t_arrival)
             response.flags.rcode = Rcode.REFUSED
             return response
-        experiment = self._experiment_label(suffix)
+        suffix, experiment, soa, soa_record = owner
         response.flags.aa = True
-        soa = SoaRecord(
-            "ns1.%s" % suffix,
-            self.config.contact_rname,  # the published abuse contact (s5.3)
-        )
-        if qname == Name(suffix) and qtype == RdataType.SOA:
-            from repro.dns.rdata import ResourceRecord
-
-            response.answer.append(ResourceRecord(qname, self.config.ttl, soa))
+        ttl = self.config.ttl
+        if qname == suffix and qtype == RdataType.SOA:
+            response.answer.append(ResourceRecord(qname, ttl, soa))
             self._count_synth(experiment, "soa", t_arrival)
             return response
         synthesized = self._respond(qname, qtype)
-        if synthesized is None:
-            self._negative(response, suffix, soa, nxdomain=True)
-            self._count_synth(experiment, "nxdomain", t_arrival)
-            return response
-        if synthesized.nxdomain:
-            self._negative(response, suffix, soa, nxdomain=True)
+        if synthesized is None or synthesized.nxdomain:
+            response.authority.append(soa_record)
+            response.flags.rcode = Rcode.NXDOMAIN
             self._count_synth(experiment, "nxdomain", t_arrival)
             return response
         if not synthesized.records:
-            self._negative(response, suffix, soa, nxdomain=False)
+            response.authority.append(soa_record)
             self._count_synth(experiment, "nodata", t_arrival)
             return response
-        from repro.dns.rdata import ResourceRecord
-
         for rdata in synthesized.records:
-            response.answer.append(ResourceRecord(qname, self.config.ttl, rdata))
+            response.answer.append(ResourceRecord(qname, ttl, rdata))
         self._count_synth(experiment, "records", t_arrival)
         return response
-
-    def _experiment_label(self, suffix: str) -> str:
-        if suffix == self.config.v6_suffix:
-            return "v6"
-        if suffix == self.config.notify_suffix:
-            return "notify"
-        return "probe"
 
     def _count_synth(self, experiment: str, outcome: str, t_arrival: float) -> None:
         self.obs.metrics.counter(
             "synth_responses_total", _synth_labels(experiment, outcome), t=t_arrival
         )
 
-    def _owning_suffix(self, qname: Name) -> Optional[str]:
-        for suffix_name, text in (
-            (self._probe_suffix, self.config.probe_suffix),
-            (self._v6_suffix, self.config.v6_suffix),
-            (self._notify_suffix, self.config.notify_suffix),
-        ):
-            if qname.is_subdomain_of(suffix_name):
-                return text
+    def _owning_suffix(self, qname: Name) -> Optional[Tuple[Name, str, SoaRecord, ResourceRecord]]:
+        """The served suffix ``qname`` falls under, with its experiment
+        label, SOA rdata and negative-answer authority record."""
+        for owner in self._suffixes:
+            if qname.is_subdomain_of(owner[0]):
+                return owner
         return None
-
-    def _negative(self, response: Message, suffix: str, soa: SoaRecord, nxdomain: bool) -> None:
-        from repro.dns.rdata import ResourceRecord
-
-        response.authority.append(ResourceRecord(Name(suffix), self.config.ttl, soa))
-        if nxdomain:
-            response.flags.rcode = Rcode.NXDOMAIN
 
     # -- per-query options ----------------------------------------------
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
-from repro.dns.name import Name
+from repro.dns.name import Name, as_name
 from repro.dns.rdata import Rclass, Rcode, RdataType, ResourceRecord
 
 
@@ -101,7 +101,7 @@ class Message:
         return cls(
             msg_id=msg_id,
             flags=Flags(qr=False, rd=recursion_desired),
-            question=[Question(Name(qname), rdtype)],
+            question=[Question(as_name(qname), rdtype)],
             edns_payload=edns_payload,
         )
 

@@ -151,5 +151,11 @@ class Name:
         return text
 
 
+def as_name(value: Union[str, Iterable[str], Name]) -> Name:
+    """``value`` itself when it is already a :class:`Name` (names are
+    immutable, so there is nothing to copy), else ``Name(value)``."""
+    return value if type(value) is Name else Name(value)
+
+
 #: The DNS root name.
 root = Name(())

@@ -15,7 +15,7 @@ import enum
 import ipaddress
 from typing import Sequence, Tuple, Union
 
-from repro.dns.name import Name
+from repro.dns.name import Name, as_name
 
 
 class RdataType(enum.IntEnum):
@@ -117,7 +117,7 @@ class NsRecord(Rdata):
     __slots__ = ("target",)
 
     def __init__(self, target: Union[str, Name]) -> None:
-        self.target = Name(target)
+        self.target = as_name(target)
 
     def to_text(self) -> str:
         return str(self.target)
@@ -133,7 +133,7 @@ class CnameRecord(Rdata):
     __slots__ = ("target",)
 
     def __init__(self, target: Union[str, Name]) -> None:
-        self.target = Name(target)
+        self.target = as_name(target)
 
     def to_text(self) -> str:
         return str(self.target)
@@ -149,7 +149,7 @@ class PtrRecord(Rdata):
     __slots__ = ("target",)
 
     def __init__(self, target: Union[str, Name]) -> None:
-        self.target = Name(target)
+        self.target = as_name(target)
 
     def to_text(self) -> str:
         return str(self.target)
@@ -168,7 +168,7 @@ class MxRecord(Rdata):
         if not 0 <= preference <= 0xFFFF:
             raise ValueError("MX preference out of range: %r" % preference)
         self.preference = int(preference)
-        self.exchange = Name(exchange)
+        self.exchange = as_name(exchange)
 
     def to_text(self) -> str:
         return "%d %s" % (self.preference, self.exchange)
@@ -239,8 +239,8 @@ class SoaRecord(Rdata):
         expire: int = 1209600,
         minimum: int = 300,
     ) -> None:
-        self.mname = Name(mname)
-        self.rname = Name(rname)
+        self.mname = as_name(mname)
+        self.rname = as_name(rname)
         self.serial = int(serial)
         self.refresh = int(refresh)
         self.retry = int(retry)
@@ -276,7 +276,7 @@ class ResourceRecord:
     __slots__ = ("name", "ttl", "rdata")
 
     def __init__(self, name: Union[str, Name], ttl: int, rdata: Rdata) -> None:
-        self.name = Name(name)
+        self.name = as_name(name)
         if ttl < 0:
             raise ValueError("negative TTL")
         self.ttl = int(ttl)

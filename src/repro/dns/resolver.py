@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro.dns import wire
 from repro.dns.cache import TtlCache
 from repro.dns.message import Message
-from repro.dns.name import Name
+from repro.dns.name import Name, as_name
 from repro.dns.rdata import Rcode, RdataType, ResourceRecord
 from repro.net.errors import ConnectionResetByPeer, NetError, PacketLost
 from repro.net.network import DNS_PORT, Network, is_ipv6
@@ -194,9 +194,11 @@ class Resolver:
         Returns ``(answer, t_done)``.  Never raises for resolution
         failures; inspect :attr:`Answer.status`.
         """
-        name = Name(qname)
+        name = as_name(qname)
         obs = self.obs
-        with obs.tracer.span("dns.query", t_start, qname=str(name), rdtype=rdtype.name) as span:
+        # The qname attribute holds the Name itself; a span dump renders
+        # it with str().
+        with obs.tracer.span("dns.query", t_start, qname=name, rdtype=rdtype.name) as span:
             answer, t_done = self._query_at(name, rdtype, t_start)
             span.set(status=answer.status.value, transport=answer.transport, cached=answer.from_cache)
             span.end(t_done)
@@ -365,7 +367,7 @@ class Resolver:
         timeout = self._timeout()
         obs = self.obs
         with obs.tracer.span(
-            "dns.exchange", t_send, qname=str(wire_name), qtype=rdtype.name,
+            "dns.exchange", t_send, qname=wire_name, qtype=rdtype.name,
             transport="udp", client=src_ip, server=dst_ip,
         ) as span:
             try:
@@ -423,7 +425,7 @@ class Resolver:
         framed = struct.pack("!H", len(payload)) + payload
         obs = self.obs
         with obs.tracer.span(
-            "dns.exchange", t_start, qname=str(name), qtype=rdtype.name,
+            "dns.exchange", t_start, qname=name, qtype=rdtype.name,
             transport="tcp", client=src_ip, server=dst_ip,
         ) as span:
             try:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import struct
 from functools import lru_cache
+from ipaddress import IPv6Address
 from typing import Dict, List, Optional, Tuple
 
 from repro.dns.errors import NameError_, WireError
@@ -43,8 +44,11 @@ _MAX_POINTER_HOPS = 64
 # Fixed-size fields, each read with one unpack: header, question and RR
 # fixed fields, MX preference, SOA timers.
 _HEADER = struct.Struct("!6H")
+_IPV4 = struct.Struct("!4B")
 _QUESTION = struct.Struct("!2H")
 _RR = struct.Struct("!2HIH")
+_RR_HEAD = struct.Struct("!2HI")  # type, class, TTL; RDLENGTH is patched in
+_U16 = struct.Struct("!H")
 _PREFERENCE = struct.Struct("!H")
 _SOA_TIMERS = struct.Struct("!5I")
 
@@ -73,42 +77,62 @@ class _Encoder:
         self.buffer = bytearray()
         self._offsets: Dict[Tuple[str, ...], int] = {}
 
-    def u8(self, value: int) -> None:
-        self.buffer.append(value & 0xFF)
-
     def u16(self, value: int) -> None:
-        self.buffer += struct.pack("!H", value & 0xFFFF)
-
-    def u32(self, value: int) -> None:
-        self.buffer += struct.pack("!I", value & 0xFFFFFFFF)
-
-    def raw(self, data: bytes) -> None:
-        self.buffer += data
+        self.buffer += _U16.pack(value & 0xFFFF)
 
     def name(self, name: Name, compress: bool = True) -> None:
         """Emit ``name``, using a compression pointer for any stored suffix."""
         labels = name.labels
         key = name.key
         chunks = _encoded_labels(labels)
+        buffer = self.buffer
+        offsets = self._offsets
         for index in range(len(labels)):
-            suffix_key = key[index:]
-            if compress and suffix_key in self._offsets:
-                pointer = self._offsets[suffix_key]
-                self.u16(0xC000 | pointer)
-                return
-            offset = len(self.buffer)
-            # Pointers only address the first 16 KiB minus the two flag bits.
-            if compress and offset < 0x4000:
-                self._offsets[suffix_key] = offset
-            self.raw(chunks[index])
-        self.u8(0)  # root label
+            if compress:
+                suffix_key = key[index:]
+                pointer = offsets.get(suffix_key)
+                if pointer is not None:
+                    buffer += _U16.pack(0xC000 | pointer)
+                    return
+                offset = len(buffer)
+                # Pointers only address the first 16 KiB minus the two flag bits.
+                if offset < 0x4000:
+                    offsets[suffix_key] = offset
+            buffer += chunks[index]
+        buffer.append(0)  # root label
 
     def character_string(self, text: str) -> None:
         data = text.encode("utf-8")
         if len(data) > 255:
             raise WireError("character-string exceeds 255 octets")
-        self.u8(len(data))
-        self.raw(data)
+        self.buffer.append(len(data))
+        self.buffer += data
+
+
+#: Bound on the per-process table of decoded names; cleared when full.
+#: Interning never changes a decoded value, only whether a repeat of
+#: the same wire labels reuses the :class:`Name` built the first time.
+NAME_INTERN_LIMIT = 4096
+
+#: Decoded names keyed by their labels' exact wire octets: case-sensitive,
+#: so each DNS 0x20 casing of a name keeps its own labels.
+_interned_names: Dict[Tuple[bytes, ...], Name] = {}
+
+# Builds rdata and records from fields the decoder has already bounded,
+# without the validating constructors' ``__init__``.
+_bare = object.__new__
+
+
+def _labels_of(runs: List[bytes]) -> Tuple[str, ...]:
+    """The labels of runs of length-prefixed wire labels, as ASCII text."""
+    labels: List[str] = []
+    for run in runs:
+        at = 0
+        while at < len(run):
+            end = at + 1 + run[at]
+            labels.append(run[at + 1 : end].decode("ascii"))
+            at = end
+    return tuple(labels)
 
 
 class _Decoder:
@@ -135,46 +159,64 @@ class _Decoder:
         return chunk
 
     def fixed(self, layout: struct.Struct) -> Tuple[int, ...]:
-        self._need(layout.size, self.offset)
-        values = layout.unpack_from(self.data, self.offset)
-        self.offset += layout.size
-        return values
+        offset = self.offset
+        end = offset + layout.size
+        if end > len(self.data):
+            self._need(layout.size, offset)
+        self.offset = end
+        return layout.unpack_from(self.data, offset)
 
     def name(self) -> Name:
-        """Decode a (possibly compressed) name starting at the cursor.  Each
-        label is 1–63 ASCII octets by construction, hence :meth:`Name.trusted`."""
+        """Decode a (possibly compressed) name starting at the cursor.
+
+        One pass finds where the name ends, reading only its length
+        octets.  The name's key is its wire octets, one run per stretch
+        between compression pointers; a repeat of the same runs returns
+        the interned :class:`Name`.  Each label is 1–63 octets by
+        construction, so a new name is decoded as ASCII and built with
+        :meth:`Name.trusted`.
+        """
         data = self.data
-        labels: List[str] = []
-        cursor = self.offset
-        jumped = False
+        size = len(data)
+        cursor = run_start = self.offset
+        runs: List[bytes] = []
+        resume = -1  # where the cursor continues after the first pointer
         hops = 0
         while True:
-            self._need(1, cursor)
+            if cursor >= size:
+                self._need(1, cursor)
             length = data[cursor]
-            if length & _POINTER_MASK == _POINTER_MASK:
-                self._need(2, cursor)
-                pointer = ((length << 8) | data[cursor + 1]) & 0x3FFF
-                if not jumped:
-                    self.offset = cursor + 2
-                    jumped = True
-                if pointer >= cursor:
-                    raise WireError("forward compression pointer")
-                cursor = pointer
-                hops += 1
-                if hops > _MAX_POINTER_HOPS:
-                    raise WireError("compression pointer loop")
-                continue
-            if length & _POINTER_MASK:
-                raise WireError("reserved label type 0x%02x" % (length & _POINTER_MASK))
-            cursor += 1
             if length == 0:
-                if not jumped:
-                    self.offset = cursor
                 break
-            self._need(length, cursor)
-            labels.append(data[cursor : cursor + length].decode("ascii", "strict"))
-            cursor += length
-        return Name.trusted(tuple(labels))
+            if length < 0x40:  # a label: its length octet, then its octets
+                cursor += 1 + length
+                if cursor > size:
+                    self._need(length, cursor - length)
+                continue
+            if length & _POINTER_MASK != _POINTER_MASK:
+                raise WireError("reserved label type 0x%02x" % (length & _POINTER_MASK))
+            if cursor + 1 >= size:
+                self._need(2, cursor)
+            pointer = ((length << 8) | data[cursor + 1]) & 0x3FFF
+            if resume < 0:
+                resume = cursor + 2
+            if pointer >= cursor:
+                raise WireError("forward compression pointer")
+            runs.append(data[run_start:cursor])
+            cursor = run_start = pointer
+            hops += 1
+            if hops > _MAX_POINTER_HOPS:
+                raise WireError("compression pointer loop")
+        runs.append(data[run_start:cursor])
+        self.offset = resume if resume >= 0 else cursor + 1
+        key = tuple(runs)
+        name = _interned_names.get(key)
+        if name is None:
+            name = Name.trusted(_labels_of(runs))
+            if len(_interned_names) >= NAME_INTERN_LIMIT:
+                _interned_names.clear()
+            _interned_names[key] = name
+        return name
 
     def character_string(self) -> str:
         length = self.u8()
@@ -190,15 +232,14 @@ def _encode_rdata(encoder: _Encoder, rdata: Rdata) -> None:
     Compression inside rdata is applied only for the name-bearing types
     RFC 1035 allows compression for (NS, CNAME, PTR, MX, SOA).
     """
-    length_at = len(encoder.buffer)
-    encoder.u16(0)  # placeholder
-    start = len(encoder.buffer)
+    buffer = encoder.buffer
+    length_at = len(buffer)
+    buffer += b"\0\0"  # placeholder
+    start = length_at + 2
     if isinstance(rdata, ARecord):
-        encoder.raw(bytes(int(part) for part in rdata.address.split(".")))
+        buffer += bytes(int(part) for part in rdata.address.split("."))
     elif isinstance(rdata, AAAARecord):
-        import ipaddress
-
-        encoder.raw(ipaddress.IPv6Address(rdata.address).packed)
+        buffer += IPv6Address(rdata.address).packed
     elif isinstance(rdata, (NsRecord, CnameRecord, PtrRecord)):
         encoder.name(rdata.target)
     elif isinstance(rdata, MxRecord):
@@ -210,44 +251,63 @@ def _encode_rdata(encoder: _Encoder, rdata: Rdata) -> None:
     elif isinstance(rdata, SoaRecord):
         encoder.name(rdata.mname)
         encoder.name(rdata.rname)
-        for value in (rdata.serial, rdata.refresh, rdata.retry, rdata.expire, rdata.minimum):
-            encoder.u32(value)
+        buffer += _SOA_TIMERS.pack(
+            rdata.serial & 0xFFFFFFFF,
+            rdata.refresh & 0xFFFFFFFF,
+            rdata.retry & 0xFFFFFFFF,
+            rdata.expire & 0xFFFFFFFF,
+            rdata.minimum & 0xFFFFFFFF,
+        )
     else:
         raise WireError("cannot encode rdata type %r" % type(rdata).__name__)
-    rdlength = len(encoder.buffer) - start
-    struct.pack_into("!H", encoder.buffer, length_at, rdlength)
+    _U16.pack_into(buffer, length_at, len(buffer) - start)
 
 
 def _decode_rdata(decoder: _Decoder, rdtype: int, rdlength: int) -> Rdata:
+    """Decode one rdata.  The decoder has already bounded every field
+    (fixed-width integers, 1–63-octet labels, character-strings of at
+    most 255 octets), so the records are built without their validating
+    constructors; they compare and hash like constructor-built ones."""
     end = decoder.offset + rdlength
+    rdata: Rdata
     if rdtype == RdataType.A:
         if rdlength != 4:
             raise WireError("A rdata must be 4 octets")
-        rdata: Rdata = ARecord(".".join(str(b) for b in decoder.raw(4)))
+        rdata = _bare(ARecord)
+        rdata.address = "%d.%d.%d.%d" % decoder.fixed(_IPV4)
     elif rdtype == RdataType.AAAA:
         if rdlength != 16:
             raise WireError("AAAA rdata must be 16 octets")
-        import ipaddress
-
-        rdata = AAAARecord(str(ipaddress.IPv6Address(decoder.raw(16))))
+        rdata = _bare(AAAARecord)
+        rdata.address = str(IPv6Address(decoder.raw(16)))
     elif rdtype == RdataType.NS:
-        rdata = NsRecord(decoder.name())
+        rdata = _bare(NsRecord)
+        rdata.target = decoder.name()
     elif rdtype == RdataType.CNAME:
-        rdata = CnameRecord(decoder.name())
+        rdata = _bare(CnameRecord)
+        rdata.target = decoder.name()
     elif rdtype == RdataType.PTR:
-        rdata = PtrRecord(decoder.name())
+        rdata = _bare(PtrRecord)
+        rdata.target = decoder.name()
     elif rdtype == RdataType.MX:
-        (preference,) = decoder.fixed(_PREFERENCE)
-        rdata = MxRecord(preference, decoder.name())
+        rdata = _bare(MxRecord)
+        (rdata.preference,) = decoder.fixed(_PREFERENCE)
+        rdata.exchange = decoder.name()
     elif rdtype == RdataType.TXT:
         strings: List[str] = []
         while decoder.offset < end:
             strings.append(decoder.character_string())
-        rdata = TxtRecord(strings)
+        if not strings:
+            raise ValueError("TXT record needs at least one character-string")
+        rdata = _bare(TxtRecord)
+        rdata.strings = tuple(strings)
     elif rdtype == RdataType.SOA:
-        mname = decoder.name()
-        rname = decoder.name()
-        rdata = SoaRecord(mname, rname, *decoder.fixed(_SOA_TIMERS))
+        rdata = _bare(SoaRecord)
+        rdata.mname = decoder.name()
+        rdata.rname = decoder.name()
+        (
+            rdata.serial, rdata.refresh, rdata.retry, rdata.expire, rdata.minimum
+        ) = decoder.fixed(_SOA_TIMERS)
     else:
         raise WireError("cannot decode rdata type %d" % rdtype)
     if decoder.offset != end:
@@ -258,34 +318,33 @@ def _decode_rdata(decoder: _Decoder, rdtype: int, rdlength: int) -> Rdata:
 # -- message codec -----------------------------------------------------------
 
 
+
 def to_wire(message: Message) -> bytes:
     """Serialise a :class:`~repro.dns.message.Message` to wire format."""
     encoder = _Encoder()
-    encoder.u16(message.msg_id)
-    encoder.u16(message.flags.to_int())
-    encoder.u16(len(message.question))
-    encoder.u16(len(message.answer))
-    encoder.u16(len(message.authority))
+    buffer = encoder.buffer
     arcount = len(message.additional) + (1 if message.edns_payload is not None else 0)
-    encoder.u16(arcount)
+    buffer += _HEADER.pack(
+        message.msg_id & 0xFFFF,
+        message.flags.to_int() & 0xFFFF,
+        len(message.question) & 0xFFFF,
+        len(message.answer) & 0xFFFF,
+        len(message.authority) & 0xFFFF,
+        arcount & 0xFFFF,
+    )
     for question in message.question:
         encoder.name(question.name)
-        encoder.u16(int(question.rdtype))
-        encoder.u16(int(question.rdclass))
+        buffer += _QUESTION.pack(int(question.rdtype) & 0xFFFF, int(question.rdclass) & 0xFFFF)
     for rr in message.answer + message.authority + message.additional:
         encoder.name(rr.name)
-        encoder.u16(int(rr.rdtype))
-        encoder.u16(int(Rclass.IN))
-        encoder.u32(rr.ttl)
+        buffer += _RR_HEAD.pack(int(rr.rdtype) & 0xFFFF, Rclass.IN, rr.ttl & 0xFFFFFFFF)
         _encode_rdata(encoder, rr.rdata)
     if message.edns_payload is not None:
-        # OPT pseudo-RR: root owner, CLASS carries the UDP payload size.
-        encoder.u8(0)  # root name
-        encoder.u16(OPT_TYPE)
-        encoder.u16(message.edns_payload & 0xFFFF)
-        encoder.u32(0)  # extended RCODE and flags, all clear
-        encoder.u16(0)  # no options
-    return bytes(encoder.buffer)
+        # OPT pseudo-RR: root owner, CLASS carries the UDP payload size,
+        # then extended RCODE and flags all clear, and no options.
+        buffer.append(0)  # root name
+        buffer += _RR.pack(OPT_TYPE, message.edns_payload & 0xFFFF, 0, 0)
+    return bytes(buffer)
 
 
 def from_wire(data: bytes) -> Message:
@@ -295,7 +354,8 @@ def from_wire(data: bytes) -> Message:
     :class:`~repro.dns.errors.WireError` and nothing else, so callers at
     the trust boundary catch exactly that.
     """
-    decoder = _Decoder(data)
+    # Labels are interned by their octets, which must be hashable.
+    decoder = _Decoder(data if type(data) is bytes else bytes(data))
     try:
         msg_id, flag_bits, qdcount, ancount, nscount, arcount = decoder.fixed(_HEADER)
         message = Message(msg_id=msg_id, flags=Flags.from_int(flag_bits))
@@ -316,8 +376,11 @@ def from_wire(data: bytes) -> Message:
                     message.edns_payload = rdclass
                     decoder.raw(rdlength)  # skip any options
                     continue
-                rdata = _decode_rdata(decoder, rdtype, rdlength)
-                section.append(ResourceRecord(name, ttl, rdata))
+                record = _bare(ResourceRecord)
+                record.name = name
+                record.ttl = ttl  # unsigned 32-bit, so never negative
+                record.rdata = _decode_rdata(decoder, rdtype, rdlength)
+                section.append(record)
     except (ValueError, NameError_) as exc:
         # Unknown codes, non-ASCII labels, empty TXT rdata, over-long names.
         raise WireError("%s: %s" % (type(exc).__name__, exc)) from exc

@@ -199,14 +199,13 @@ class _MtaSession(SmtpSession):
         self.obs = mta.obs
         self.faults = mta.network.faults
         self.banner_host = mta.hostname
+        #: Read once: a session runs under the behaviour its MTA had when
+        #: the connection was accepted.
+        self.behavior: MtaBehavior = mta.behavior
         self._spf_done = False
         self._spf_result: Optional[SpfResult] = None
 
     # -- helpers -----------------------------------------------------
-
-    @property
-    def behavior(self) -> MtaBehavior:
-        return self.mta.behavior
 
     def _only_postmaster(self) -> bool:
         return bool(self.rcpt_to) and all(m.local.lower() == "postmaster" for m in self.rcpt_to)

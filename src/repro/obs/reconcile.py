@@ -28,7 +28,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.querylog import QueryIndex, attribute_queries_with_stats
 from repro.core.synth import SynthConfig
-from repro.dns.name import Name
+from repro.dns.name import as_name
 from repro.dns.rdata import RdataType
 from repro.dns.server import QueryLogEntry
 from repro.obs.spans import Span
@@ -84,7 +84,9 @@ def entries_from_spans(spans: Iterable[Span]) -> Tuple[List[QueryLogEntry], int]
     """Rebuild a query log from ``dns.exchange`` spans.
 
     Returns ``(entries, unsent)`` where ``unsent`` counts exchanges the
-    network refused before any server saw them.
+    network refused before any server saw them.  A span's ``qname`` is a
+    :class:`~repro.dns.name.Name` on live spans and its text on spans
+    read back from a dump; both are accepted.
     """
     entries: List[QueryLogEntry] = []
     unsent = 0
@@ -100,7 +102,7 @@ def entries_from_spans(spans: Iterable[Span]) -> Tuple[List[QueryLogEntry], int]
         entries.append(
             QueryLogEntry(
                 timestamp=span.t_start,
-                qname=Name(str(span.attrs["qname"])),
+                qname=as_name(span.attrs["qname"]),
                 qtype=RdataType[str(span.attrs["qtype"])],
                 transport=str(span.attrs["transport"]),
                 client_ip=str(span.attrs["client"]),

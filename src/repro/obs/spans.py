@@ -98,6 +98,9 @@ class Span:
         )
 
 
+_new_span = object.__new__
+
+
 class Tracer:
     """Creates spans and collects the finished ones."""
 
@@ -121,10 +124,19 @@ class Tracer:
                 sp.set(status=answer.status.value)
                 sp.end(t_done)
         """
-        parent_id = self._stack[-1].span_id if self._stack else None
-        created = Span(name, t_start, self._next_id, parent_id, attrs or {}, tracer=self)
+        # One per SMTP command and DNS exchange: the slots are filled
+        # here directly, with no ``Span.__init__`` frame.
+        stack = self._stack
+        created = _new_span(Span)
+        created.name = name
+        created.t_start = t_start
+        created.t_end = None
+        created.span_id = self._next_id
+        created.parent_id = stack[-1].span_id if stack else None
+        created.attrs = attrs
+        created._tracer = self
         self._next_id += 1
-        self._stack.append(created)
+        stack.append(created)
         return created
 
     # -- queries ---------------------------------------------------------
@@ -155,7 +167,11 @@ class Tracer:
 
 
 class NullSpan(Span):
-    """A reusable do-nothing span (returned by :class:`NullTracer`)."""
+    """A reusable do-nothing span (returned by :class:`NullTracer`).
+
+    Hot call sites write an attribute straight into ``span.attrs``; on
+    the shared null span those writes land in a dict nothing reads.
+    """
 
     __slots__ = ()
 

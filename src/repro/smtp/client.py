@@ -43,7 +43,6 @@ class SmtpClient:
         self.channel = channel
         self.greeting = greeting
         self.obs = ensure_obs(obs)
-        self.transcript: list = [("S", greeting, channel.t_established)]
 
     # -- connection -------------------------------------------------------
 
@@ -134,9 +133,17 @@ class SmtpClient:
 
     # -- command rounds -----------------------------------------------------
 
-    def command(self, line: str, t_send: float) -> Tuple[Reply, float]:
-        """Send one command line and parse the reply."""
-        verb = line.split(None, 1)[0].upper() if line else ""
+    def command(
+        self, line: str, t_send: float, verb: Optional[str] = None
+    ) -> Tuple[Reply, float]:
+        """Send one command line and parse the reply.
+
+        ``verb`` is the line's upper-cased first word, the span and
+        metric label; the command helpers pass the one they already
+        know, and it is derived from ``line`` when omitted.
+        """
+        if verb is None:
+            verb = line.split(None, 1)[0].upper() if line else ""
         obs = self.obs
         with obs.tracer.span("smtp.command", t_send, command=verb) as span:
             data = (line + CRLF).encode("utf-8")
@@ -151,7 +158,7 @@ class SmtpClient:
             if raw is None:
                 raise SmtpClientError("server closed or stayed silent after %r" % line, t=t_reply)
             reply = Reply.from_bytes(raw)
-            span.set(code=reply.code)
+            span.attrs["code"] = reply.code
             span.end(t_reply)
         obs.metrics.counter(
             "smtp_client_commands_total", _command_labels(verb, reply.code // 100), t=t_reply
@@ -159,15 +166,13 @@ class SmtpClient:
         obs.metrics.observe(
             "smtp_client_command_seconds", t_reply - t_send, _verb_labels(verb), t=t_reply
         )
-        self.transcript.append(("C", line, t_send))
-        self.transcript.append(("S", reply, t_reply))
         return reply, t_reply
 
     def ehlo(self, domain: str, t: float) -> Tuple[Reply, float]:
-        return self.command("EHLO %s" % domain, t)
+        return self.command("EHLO %s" % domain, t, "EHLO")
 
     def helo(self, domain: str, t: float) -> Tuple[Reply, float]:
-        return self.command("HELO %s" % domain, t)
+        return self.command("HELO %s" % domain, t, "HELO")
 
     def ehlo_or_helo(self, domain: str, t: float) -> Tuple[Reply, float]:
         """EHLO, falling back to HELO on a 5xx, as the paper's probe does."""
@@ -178,13 +183,13 @@ class SmtpClient:
 
     def mail(self, sender: Optional[str], t: float) -> Tuple[Reply, float]:
         path = "<%s>" % sender if sender else "<>"
-        return self.command("MAIL FROM:%s" % path, t)
+        return self.command("MAIL FROM:%s" % path, t, "MAIL")
 
     def rcpt(self, recipient: str, t: float) -> Tuple[Reply, float]:
-        return self.command("RCPT TO:<%s>" % recipient, t)
+        return self.command("RCPT TO:<%s>" % recipient, t, "RCPT")
 
     def data_command(self, t: float) -> Tuple[Reply, float]:
-        return self.command("DATA", t)
+        return self.command("DATA", t, "DATA")
 
     def send_message(self, message: EmailMessage, t: float) -> Tuple[Reply, float]:
         """Transmit message content and the terminating dot; expects the
@@ -202,7 +207,7 @@ class SmtpClient:
             if raw is None:
                 raise SmtpClientError("no reply to message data", t=t_reply)
             reply = Reply.from_bytes(raw)
-            span.set(code=reply.code)
+            span.attrs["code"] = reply.code
             span.end(t_reply)
         obs.metrics.counter(
             "smtp_client_commands_total", _command_labels("MESSAGE", reply.code // 100), t=t_reply
@@ -210,12 +215,10 @@ class SmtpClient:
         obs.metrics.observe(
             "smtp_client_command_seconds", t_reply - t, _verb_labels("MESSAGE"), t=t_reply
         )
-        self.transcript.append(("C", "<message: %d bytes>" % len(data), t))
-        self.transcript.append(("S", reply, t_reply))
         return reply, t_reply
 
     def quit(self, t: float) -> Tuple[Reply, float]:
-        reply, t_done = self.command("QUIT", t)
+        reply, t_done = self.command("QUIT", t, "QUIT")
         self.channel.close(t_done)
         return reply, t_done
 

@@ -19,16 +19,33 @@ CRLF = "\r\n"
 REPLY_MEMO_LIMIT = 2048
 
 
-@dataclass(frozen=True)
 class Mailbox:
     """An envelope address: local part plus domain.
 
     The domain is the input to SPF's ``MAIL FROM`` identity check; the
-    measurement harness embeds its test identifiers there.
+    measurement harness embeds its test identifiers there.  A value
+    object: equal and hashed by its two fields, never mutated.  One is
+    parsed per ``MAIL``/``RCPT`` line, so it is a plain slotted class
+    rather than a frozen dataclass (whose ``__init__`` pays an
+    ``object.__setattr__`` per field).
     """
 
-    local: str
-    domain: str
+    __slots__ = ("local", "domain")
+
+    def __init__(self, local: str, domain: str) -> None:
+        self.local = local
+        self.domain = domain
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Mailbox:
+            return NotImplemented
+        return self.local == other.local and self.domain == other.domain
+
+    def __hash__(self) -> int:
+        return hash((self.local, self.domain))
+
+    def __repr__(self) -> str:
+        return "Mailbox(local=%r, domain=%r)" % (self.local, self.domain)
 
     @property
     def address(self) -> str:
@@ -124,12 +141,26 @@ def _decode_reply(data: bytes) -> Reply:
     return Reply(code, parts)
 
 
-@dataclass(frozen=True)
 class Command:
-    """A parsed SMTP command line."""
+    """A parsed SMTP command line: a value object like :class:`Mailbox`,
+    and slotted for the same reason (one per line a server reads)."""
 
-    verb: str
-    argument: str
+    __slots__ = ("verb", "argument")
+
+    def __init__(self, verb: str, argument: str) -> None:
+        self.verb = verb
+        self.argument = argument
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Command:
+            return NotImplemented
+        return self.verb == other.verb and self.argument == other.argument
+
+    def __hash__(self) -> int:
+        return hash((self.verb, self.argument))
+
+    def __repr__(self) -> str:
+        return "Command(verb=%r, argument=%r)" % (self.verb, self.argument)
 
     def to_line(self) -> str:
         return "%s %s" % (self.verb, self.argument) if self.argument else self.verb

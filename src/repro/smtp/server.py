@@ -142,7 +142,7 @@ class SmtpSession:
             result = self._dispatch(command, t)
             if result is not None:
                 reply, delay = result
-                span.set(code=reply.code)
+                span.attrs["code"] = reply.code
                 span.end(t + delay)
                 labels = _verb_labels(command.verb)
                 obs.metrics.counter("smtp_server_commands_total", labels, t=t + delay)

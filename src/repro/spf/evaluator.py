@@ -61,6 +61,44 @@ def _result_labels(result_value: str) -> tuple:
     return (("result", result_value),)
 
 
+#: Bound on each memo of parsed address and network literals.
+ADDRESS_MEMO_LIMIT = 4096
+
+#: Bound on the memo of parsed SPF records.
+RECORD_MEMO_LIMIT = 4096
+
+
+@lru_cache(maxsize=RECORD_MEMO_LIMIT)
+def _parse_record(text: str, tolerant: bool) -> SpfRecord:
+    """:func:`parse_record`, memoised by text: validators re-fetch the
+    same policies all campaign long.  Records are shared, which is safe
+    because the evaluator only reads them and none leaves it; a record
+    that fails to parse raises on every call (exceptions are not cached).
+    """
+    return parse_record(text, tolerant=tolerant)
+
+
+@lru_cache(maxsize=ADDRESS_MEMO_LIMIT)
+def _address_key(text: str) -> Tuple[int, int]:
+    """``(version, integer value)`` of an IP address literal."""
+    address = ipaddress.ip_address(text)
+    return address.version, int(address)
+
+
+@lru_cache(maxsize=ADDRESS_MEMO_LIMIT)
+def _network_key(text: str) -> Tuple[int, int, int]:
+    """``(version, network integer, netmask integer)`` of a CIDR literal."""
+    network = ipaddress.ip_network(text)
+    return network.version, int(network.network_address), int(network.netmask)
+
+
+@lru_cache(maxsize=None)
+def _prefix_mask(version: int, prefix: int) -> int:
+    """The netmask integer of a ``/prefix`` in the given IP version."""
+    zero = "0.0.0.0" if version == 4 else "::"
+    return int(ipaddress.ip_network("%s/%d" % (zero, prefix)).netmask)
+
+
 @dataclass
 class SpfConfig:
     """Behavioural configuration of one evaluator; defaults are RFC-strict."""
@@ -210,7 +248,7 @@ class SpfEvaluator:
                 return SpfResult.PERMERROR, "multiple SPF records", None, t
 
         try:
-            record = parse_record(spf_texts[0], tolerant=self.config.tolerant_syntax)
+            record = _parse_record(spf_texts[0], self.config.tolerant_syntax)
         except SpfSyntaxError as exc:
             return SpfResult.PERMERROR, "syntax: %s" % exc, None, t
 
@@ -317,27 +355,30 @@ class SpfEvaluator:
 
         raise _Abort(SpfResult.PERMERROR, "unhandled mechanism %s" % kind.value, t)
 
+    # Address matching compares integers: each literal is parsed once
+    # (memoised), and a candidate matches when it agrees with the client
+    # address on every bit of the prefix.
+
     def _match_ip(self, mechanism: Mechanism, client_ip: str) -> Optional[bool]:
-        address = ipaddress.ip_address(client_ip)
-        network = ipaddress.ip_network(mechanism.network)
-        if address.version != network.version:
+        version, address = _address_key(client_ip)
+        network_version, network, mask = _network_key(mechanism.network)
+        if version != network_version:
             return None
-        return True if address in network else None
+        return True if address & mask == network else None
 
     def _match_addresses(
         self, client_ip: str, addresses: List[str], mechanism: Mechanism
     ) -> Optional[bool]:
-        client = ipaddress.ip_address(client_ip)
-        if client.version == 4:
+        version, client = _address_key(client_ip)
+        if version == 4:
             prefix = mechanism.cidr4 if mechanism.cidr4 is not None else 32
         else:
             prefix = mechanism.cidr6 if mechanism.cidr6 is not None else 128
         for text in addresses:
-            candidate = ipaddress.ip_address(text)
-            if candidate.version != client.version:
+            candidate_version, candidate = _address_key(text)
+            if candidate_version != version:
                 continue
-            network = ipaddress.ip_network("%s/%d" % (candidate, prefix), strict=False)
-            if client in network:
+            if (candidate ^ client) & _prefix_mask(version, prefix) == 0:
                 return True
         return None
 
@@ -418,13 +459,13 @@ class SpfEvaluator:
     def _lookup(
         self, state: _CheckState, qname: str, rdtype: RdataType, t: float, term: Optional[str]
     ) -> Tuple[Answer, float]:
-        key = (Name(qname).key, rdtype)
-        prefetched = state.prefetched.pop(key, None)
+        name = Name(qname)
+        prefetched = state.prefetched.pop((name.key, rdtype), None)
         if prefetched is not None:
             answer, t_prefetch_done = prefetched
             t_done = max(t, t_prefetch_done)
         else:
-            answer, t_done = self.resolver.query_at(qname, rdtype, t)
+            answer, t_done = self.resolver.query_at(name, rdtype, t)
         state.trace.append(
             DnsLookupRecord(
                 qname=qname,
@@ -464,7 +505,7 @@ class SpfEvaluator:
                 texts = [text for text in answer.texts() if looks_like_spf(text)]
                 if len(texts) == 1:
                     try:
-                        child = parse_record(texts[0], tolerant=True)
+                        child = _parse_record(texts[0], True)
                     except SpfSyntaxError:
                         continue
                     child_context = MacroContext(
@@ -479,10 +520,11 @@ class SpfEvaluator:
     def _prefetch_one(
         self, state: _CheckState, qname: str, rdtype: RdataType, t: float
     ) -> Tuple[Answer, float]:
-        key = (Name(qname).key, rdtype)
+        name = Name(qname)
+        key = (name.key, rdtype)
         if key in state.prefetched:
             return state.prefetched[key]
-        answer, t_done = self.resolver.query_at(qname, rdtype, t)
+        answer, t_done = self.resolver.query_at(name, rdtype, t)
         state.prefetched[key] = (answer, t_done)
         return answer, t_done
 

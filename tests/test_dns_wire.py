@@ -117,6 +117,29 @@ class TestCompression:
             wire.from_wire(header + b"\xc0\x0c" + bytes(4))
 
 
+class TestNameInterning:
+    def test_two_casings_back_to_back_keep_their_own_labels(self):
+        # Decoded names are interned by their exact wire octets; a
+        # case-insensitive table would hand the second casing the first
+        # one's labels and break DNS 0x20 checking.
+        lower = Message.make_query("probe.t01.m001.example.org", RdataType.TXT)
+        mixed = Message.make_query("PrObE.t01.M001.example.ORG", RdataType.TXT)
+        first = wire.from_wire(wire.to_wire(lower))
+        second = wire.from_wire(wire.to_wire(mixed))
+        assert first.qname.labels == ("probe", "t01", "m001", "example", "org")
+        assert second.qname.labels == ("PrObE", "t01", "M001", "example", "ORG")
+        assert first.qname == second.qname
+
+    def test_repeated_names_share_one_object(self):
+        query = wire.to_wire(Message.make_query("same.example.com", RdataType.A))
+        assert wire.from_wire(query).qname is wire.from_wire(query).qname
+
+    def test_table_is_bounded(self):
+        for index in range(wire.NAME_INTERN_LIMIT + 10):
+            wire.from_wire(wire.to_wire(Message.make_query("n%d.example" % index, RdataType.A)))
+        assert len(wire._interned_names) <= wire.NAME_INTERN_LIMIT
+
+
 class TestMalformed:
     def test_truncated_buffer(self):
         good = wire.to_wire(Message.make_query("example.com", RdataType.A))
@@ -162,25 +185,40 @@ class TestUdpTruncation:
         assert truncated
 
 
-_label = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789-", min_size=1, max_size=15)
+# Mixed case, so DNS 0x20 casings go through the decoder's name table.
+_label = st.text(
+    alphabet="abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-",
+    min_size=1,
+    max_size=15,
+)
 _name = st.lists(_label, min_size=1, max_size=5).map(Name)
 _ttl = st.integers(min_value=0, max_value=2**31 - 1)
 
-_rdata = st.one_of(
-    st.builds(
-        ARecord,
-        st.integers(0, 2**32 - 1).map(
-            lambda n: "%d.%d.%d.%d" % ((n >> 24) % 256, (n >> 16) % 256, (n >> 8) % 256, n % 256)
-        ),
+_a_rdata = st.builds(
+    ARecord,
+    st.integers(0, 2**32 - 1).map(
+        lambda n: "%d.%d.%d.%d" % ((n >> 24) % 256, (n >> 16) % 256, (n >> 8) % 256, n % 256)
     ),
-    st.builds(lambda n: AAAARecord("2001:db8::%x" % n), st.integers(0, 0xFFFF)),
-    st.builds(MxRecord, st.integers(0, 65535), _name),
-    st.builds(NsRecord, _name),
-    st.builds(CnameRecord, _name),
+)
+_mx_rdata = st.builds(MxRecord, st.integers(0, 65535), _name)
+_txt_rdata = st.one_of(
     st.builds(
         TxtRecord,
         st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), min_size=0, max_size=300),
     ),
+    # Several character-strings, non-ASCII ones included.
+    st.builds(
+        TxtRecord,
+        st.lists(st.text(max_size=60), min_size=1, max_size=4),
+    ),
+)
+_rdata = st.one_of(
+    _a_rdata,
+    st.builds(lambda n: AAAARecord("2001:db8::%x" % n), st.integers(0, 0xFFFF)),
+    _mx_rdata,
+    st.builds(NsRecord, _name),
+    st.builds(CnameRecord, _name),
+    _txt_rdata,
 )
 
 
@@ -198,7 +236,31 @@ def test_arbitrary_message_roundtrip(qname, records, msg_id):
     assert parsed.msg_id == msg_id
     assert parsed.qname == qname
     assert len(parsed.answer) == len(records)
+    # The question goes first, so its casing is on the wire verbatim
+    # (later names may point at an earlier, differently cased suffix).
+    assert parsed.qname.labels == qname.labels
     for parsed_rr, (owner, ttl, rdata) in zip(parsed.answer, records):
         assert parsed_rr.name == owner
         assert parsed_rr.ttl == ttl
         assert parsed_rr.rdata == rdata
+        assert hash(parsed_rr.rdata) == hash(rdata)
+        assert hash(parsed_rr) == hash(ResourceRecord(owner, ttl, rdata))
+
+
+@given(rdata=st.one_of(_a_rdata, _mx_rdata, _txt_rdata))
+def test_decoded_rdata_equals_and_hashes_like_constructed(rdata):
+    """The decoder builds rdata without the validating constructors; the
+    result must be indistinguishable from a constructor-built record."""
+    message = Message.make_query("owner.example", rdata.rdtype)
+    message.flags.qr = True
+    message.answer.append(ResourceRecord("owner.example", 60, rdata))
+    decoded = _roundtrip(message).answer[0].rdata
+    rebuilt = {
+        ARecord: lambda r: ARecord(r.address),
+        MxRecord: lambda r: MxRecord(r.preference, str(r.exchange)),
+        TxtRecord: lambda r: TxtRecord(list(r.strings)),
+    }[type(rdata)](decoded)
+    assert type(decoded) is type(rdata)
+    assert decoded == rdata == rebuilt
+    assert hash(decoded) == hash(rdata) == hash(rebuilt)
+    assert decoded.to_text() == rebuilt.to_text()

@@ -12,10 +12,12 @@ import pytest
 
 from repro.core.campaign import ProbeCampaign, Testbed
 from repro.core.datasets import DatasetSpec, generate_universe
+from repro.core.parallel import run_probe_sharded
 from repro.core.runner import main
+from repro.dns.name import Name
 from repro.obs import NULL_OBS
 from repro.obs.reconcile import entries_from_spans, reconcile_spans
-from repro.obs.spans import load_spans
+from repro.obs.spans import load_spans, save_spans
 
 REPO = pathlib.Path(__file__).parent.parent
 
@@ -53,6 +55,35 @@ class TestLiveCampaign:
         assert metrics.counter_total("smtp_server_sessions_total") == len(
             tracer.find("probe.conversation")
         )
+
+    def test_reconcile_verdict_same_before_and_after_a_dump(self, tmp_path):
+        """Live ``dns.exchange`` spans carry their qname as a Name, dumped
+        ones as text; reconciliation reaches the same verdict on both."""
+        universe = generate_universe(DatasetSpec.two_week_mx(scale=0.003), seed=7)
+        merged = run_probe_sharded(universe, "TwoWeekMX", workers=1, testbed_seed=8)
+        exchanges = [span for span in merged.spans if span.name == "dns.exchange"]
+        assert exchanges
+        assert all(type(span.attrs["qname"]) is Name for span in exchanges)
+        path = tmp_path / "twoweekmx_spans.jsonl"
+        save_spans(merged.spans, path)
+        loaded = load_spans(path)
+        assert all(
+            type(span.attrs["qname"]) is str for span in loaded if span.name == "dns.exchange"
+        )
+
+        def verdict(spans):
+            result = reconcile_spans(spans, merged.result.index, merged.synth_config)
+            return (
+                result.matched,
+                result.span_counts,
+                result.index_counts,
+                result.spans_unsent,
+                result.spans_foreign,
+            )
+
+        live = verdict(merged.spans)
+        assert live[0] and sum(live[1].values()) > 0
+        assert verdict(loaded) == live
 
     def test_null_obs_records_nothing(self):
         universe = generate_universe(DatasetSpec.two_week_mx(scale=0.003), seed=7)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.dns.rdata import AAAARecord, ARecord, MxRecord, PtrRecord, TxtRecord
 from repro.spf import SpfConfig, SpfEvaluator, SpfResult
+from repro.spf import evaluator as evaluator_module
 from tests.helpers import World
 
 IP = "192.0.2.1"
@@ -129,6 +130,18 @@ class TestErrors:
         assert outcome.result is SpfResult.PERMERROR
         # Strict validators stop at the first lookup.
         assert len(outcome.lookups) == 1
+        # Parsed records are memoised by text; a record that fails to
+        # parse is not, so a second check fails the same way.
+        again = _check(world, "syntax.spf.test")
+        assert (again.result, again.explanation) == (outcome.result, outcome.explanation)
+
+    def test_repeated_policy_text_is_parsed_once(self, world):
+        _check(world, "basic.spf.test")
+        before = evaluator_module._parse_record.cache_info()
+        assert _check(world, "basic.spf.test", t=10.0).result is SpfResult.PASS
+        after = evaluator_module._parse_record.cache_info()
+        assert after.hits == before.hits + 1
+        assert after.misses == before.misses
 
     def test_multiple_records_permerror(self, world):
         zone = world.server.zones[0]
