@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.core.datasets import Domain, MtaHost, Universe, stable_hash64
 from repro.core.policies import POLICIES
 from repro.core.probe import ProbeClient, ProbeResult
-from repro.core.querylog import QueryIndex, attribute_queries
+from repro.core.querylog import QueryIndex, attribute_queries_with_stats
 from repro.core.synth import SynthConfig, SynthesizingAuthority
 from repro.dkim.rsa import RsaKeyPair, generate_keypair
 from repro.dkim.sign import DkimSigner
@@ -182,7 +182,8 @@ class Testbed:
     # -- log access ------------------------------------------------------
 
     def query_index(self) -> QueryIndex:
-        return QueryIndex(attribute_queries(self.synth.query_log, self.synth_config))
+        """The synth server's query log, attributed (with its stats)."""
+        return QueryIndex(*attribute_queries_with_stats(self.synth.query_log, self.synth_config))
 
 
 # -- schedules ------------------------------------------------------------

@@ -28,11 +28,25 @@ the MTA's DNS lookups), so a static split leaves workers idle behind the
 busiest one.  Instead each of W worker processes builds one full
 :class:`~repro.core.campaign.Testbed` and pulls units from a single
 queue, largest first, running them through the ordinary campaign loop;
-it ships back one picklable :class:`ShardResult` (records, raw query
-log, metrics, span count).  :func:`merge_shard_results` reassembles
-outputs content-identical to a plain campaign run whichever worker ran
-which unit, as ``tests/test_core_parallel.py`` proves for W ∈ {1, 2, 3,
-4}, and attributes the merged query log exactly once.
+it ships back one picklable :class:`ShardResult` (records, its query log
+already attributed and time-sorted, the attribution's stats, metrics,
+span count).  :func:`merge_shard_results` reassembles outputs
+content-identical to a plain campaign run whichever worker ran which
+unit, as ``tests/test_core_parallel.py`` proves for W ∈ {1, 2, 3, 4}.
+Attribution is pure per entry, so the merge only interleaves the
+workers' attributed queries by timestamp and sums their stats: it
+attributes nothing again.
+
+A campaign keeps every span, probe result and query-log entry for the
+post-flight passes, and none of them is ever part of a reference cycle
+that needs collecting.  So a worker moves every surviving object to the
+collector's permanent generation (``gc.freeze()``) before it pulls each
+unit: generation-2 passes then walk only what the current unit made,
+not the whole campaign so far (nor, in a forked worker, the heap it
+inherited).  The worker unfreezes when it ends, whether it succeeded or
+not, so no freeze outlives the call.  The coordinator freezes its own
+heap the same way while worker processes run, so loading their results
+sets off no pass over it.
 
 One worker, or ``use_processes=False``, runs the same worker function
 in-process on a round-robin deal of the units, each job's tasks in
@@ -52,6 +66,7 @@ only the verdict.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -76,9 +91,8 @@ from repro.core.datasets import MtaHost, Universe
 from repro.core.policies import POLICIES, policy_by_id
 from repro.core.preflight import preflight_policies
 from repro.core.probe import ProbeResult
-from repro.core.querylog import AttributionStats, QueryIndex, attribute_queries_with_stats
+from repro.core.querylog import AttributedQuery, AttributionStats, QueryIndex
 from repro.core.synth import SynthConfig
-from repro.dns.server import QueryLogEntry
 from repro.net.faults import FaultPlan
 from repro.obs import NULL_OBS, Observability
 from repro.obs.metrics import MetricsRegistry
@@ -170,7 +184,10 @@ class ShardResult:
     index: int
     #: The worker's deliveries (notify) or probe results (probe).
     records: List[Union[NotifyDelivery, ProbeResult]] = field(default_factory=list)
-    raw_log: List[QueryLogEntry] = field(default_factory=list)
+    #: The worker's query log, attributed once and in timestamp order.
+    queries: List[AttributedQuery] = field(default_factory=list)
+    #: The accounting of that one attribution.
+    stats: AttributionStats = field(default_factory=AttributionStats)
     metrics: Optional[MetricsRegistry] = None
     span_count: int = 0
     #: The worker's finished spans; emptied before a worker process
@@ -184,16 +201,13 @@ class ShardResult:
 class MergedCampaign:
     """A campaign's merged output — content-identical to a plain run.
 
-    ``raw_log`` is the union of the workers' query logs in timestamp
-    order, and ``stats`` accounts for its one attribution (the index on
-    ``result``); ``metrics`` is the worker registries merged with
-    campaign-global gauges restored; ``span_count`` sums the workers'
-    span tallies.
+    ``result.index`` holds the workers' attributed queries in timestamp
+    order, with their summed attribution stats; ``metrics`` is the
+    worker registries merged with campaign-global gauges restored;
+    ``span_count`` sums the workers' span tallies.
     """
 
     result: Union[NotifyEmailResult, ProbeCampaignResult]
-    raw_log: List[QueryLogEntry]
-    stats: AttributionStats
     synth_config: SynthConfig
     metrics: Optional[MetricsRegistry]
     span_count: int
@@ -230,6 +244,8 @@ def run_shard(job: ShardJob) -> ShardResult:
 
     Module-level (importable by name) and argument/return picklable, so
     it is valid under fork and spawn alike.  Called once per worker.
+    Every object alive when a unit is pulled is frozen out of the
+    collector's reach until the shard ends (see the module docstring).
     """
     obs = Observability() if job.obs_enabled else NULL_OBS
     faults = FaultPlan.parse(job.faults_spec, seed=job.faults_seed) if job.faults_spec else None
@@ -240,30 +256,36 @@ def run_shard(job: ShardJob) -> ShardResult:
         if job.deal is None:  # a worker process: whole units off the queue
             for index in _unit_source:
                 current[:] = [job.units[index]]
+                gc.freeze()
                 yield from job.units[index].tasks
             return
         unit_tasks: Dict[int, Iterator[Task]] = {}
         for index in job.deal:
             current[:] = [job.units[index]]
+            gc.freeze()
             yield next(unit_tasks.setdefault(index, iter(job.units[index].tasks)))
 
     campaign_class = NotifyEmailCampaign if job.campaign == _NOTIFY_CAMPAIGN else ProbeCampaign
     try:
-        outcome = campaign_class(testbed, **job.options).run(schedule=pulled())
-    except Exception as exc:
-        unit = current[0].key if current else None
-        raise ShardError(job.shard.index, unit, "%s: %s" % (type(exc).__name__, exc)) from exc
-    records = outcome.deliveries if isinstance(outcome, NotifyEmailResult) else outcome.results
-    result = ShardResult(job.shard.index, list(records), testbed.synth.query_log)
-    if job.obs_enabled:
-        result.metrics = obs.metrics
-        result.spans = obs.tracer.finished
-        result.span_count = len(result.spans)
-        from repro.obs.reconcile import reconcile_spans
+        try:
+            outcome = campaign_class(testbed, **job.options).run(schedule=pulled())
+        except Exception as exc:
+            unit = current[0].key if current else None
+            raise ShardError(job.shard.index, unit, "%s: %s" % (type(exc).__name__, exc)) from exc
+        records = outcome.deliveries if isinstance(outcome, NotifyEmailResult) else outcome.results
+        index = outcome.index
+        result = ShardResult(job.shard.index, list(records), index.queries, index.stats)
+        if job.obs_enabled:
+            result.metrics = obs.metrics
+            result.spans = obs.tracer.finished
+            result.span_count = len(result.spans)
+            from repro.obs.reconcile import reconcile_spans
 
-        verdict = reconcile_spans(obs.tracer.finished, outcome.index, testbed.synth_config)
-        result.reconciled = verdict.matched
-    return result
+            verdict = reconcile_spans(obs.tracer.finished, index, testbed.synth_config)
+            result.reconciled = verdict.matched
+        return result
+    finally:
+        gc.unfreeze()
 
 
 def _worker_main(job: ShardJob, cursor, count: int, conn) -> None:
@@ -307,6 +329,10 @@ def _execute(jobs: List[ShardJob]) -> List[ShardResult]:
     cursor = multiprocessing.Value("i", 0)
     workers: Dict[multiprocessing.connection.Connection, Tuple[int, multiprocessing.Process]] = {}
     results_by_slot: Dict[int, ShardResult] = {}
+    # The coordinator's heap outlives the call too: frozen, the workers
+    # inherit it out of their collector's reach, and loading their
+    # results sets off no pass over it.
+    gc.freeze()
     try:
         for job in jobs:
             reader, writer = multiprocessing.Pipe(duplex=False)
@@ -334,29 +360,11 @@ def _execute(jobs: List[ShardJob]) -> List[ShardResult]:
                     raise ShardError(slot, unit, detail)
                 results_by_slot[slot] = payload
     finally:
+        gc.unfreeze()
         for _, process in workers.values():
             process.terminate()
             process.join()
     return [results_by_slot[slot] for slot in sorted(results_by_slot)]
-
-
-def merge_raw_logs(shard_logs: Sequence[Sequence[QueryLogEntry]]) -> List[QueryLogEntry]:
-    """The union of the workers' query logs in virtual-timestamp order.
-
-    A serial server's log is in *arrival* order, which only differs from
-    timestamp order for deferred work (post-delivery SPF checks) — and,
-    in a worker, for units pulled out of schedule order; every consumer
-    (``QueryIndex``, tracecheck, the trace dumps) orders by timestamp
-    anyway, so the timestamp-sorted union is the canonical form.  The
-    sort is stable, so one unit's equal-timestamp entries keep their
-    arrival order; distinct conversations get distinct continuous
-    latencies, so ties across units do not occur in practice.
-    """
-    merged: List[QueryLogEntry] = []
-    for log in shard_logs:
-        merged.extend(log)
-    merged.sort(key=lambda entry: entry.timestamp)
-    return merged
 
 
 def merge_shard_results(
@@ -370,14 +378,15 @@ def merge_shard_results(
     """Deterministic reduce: worker outputs → one plain run's objects.
 
     Record lists are re-ordered to the coordinator's schedule (the order
-    a plain campaign run produces them in), the raw logs merge by
-    timestamp and are attributed once, and the metrics registries merge
-    with the campaign-global gauges overwritten — workers each recorded
-    their local unit count, but a plain run records the global one.
+    a plain campaign run produces them in), the workers' attributed
+    queries interleave by timestamp (:meth:`QueryIndex.merge`; a serial
+    server's log is in *arrival* order, but every consumer orders by
+    timestamp, so the timestamp-sorted union is the canonical form) with
+    their stats summed, and the metrics registries merge with the
+    campaign-global gauges overwritten — workers each recorded their
+    local unit count, but a plain run records the global one.
     """
-    raw_log = merge_raw_logs([shard.raw_log for shard in shard_results])
-    attributed, stats = attribute_queries_with_stats(raw_log, synth_config)
-    index = QueryIndex(attributed)
+    index = QueryIndex.merge(shard_results)
     metrics = None
     if obs_enabled:
         metrics = MetricsRegistry.merged(s.metrics for s in shard_results if s.metrics is not None)
@@ -416,8 +425,6 @@ def merge_shard_results(
     verdicts = [shard.reconciled for shard in shard_results if shard.reconciled is not None]
     return MergedCampaign(
         result=result,
-        raw_log=raw_log,
-        stats=stats,
         synth_config=synth_config,
         metrics=metrics,
         span_count=sum(shard.span_count for shard in shard_results),
@@ -438,7 +445,9 @@ def _run_parallel(
     **params,
 ) -> MergedCampaign:
     """One job per worker slot (at least one, never more than units),
-    executed and merged.  One slot always runs in-process."""
+    executed and merged.  Without ``use_processes``, or with one slot,
+    every job runs in this process; otherwise each slot is a worker
+    process."""
     slots = max(1, min(workers if workers is not None else default_workers(), len(units)))
     in_process = not use_processes or slots == 1
     deals = _deal(schedule, units, slots) if in_process else [None] * slots

@@ -131,12 +131,18 @@ class TestPolicy:
 
     # -- resolution ------------------------------------------------------
 
+    def delay_for(self, sub: Tuple[str, ...]) -> float:
+        """The server-side delay of every answer under ``sub``: set by
+        its first sublabel ('' for the base name), whatever the type."""
+        return self.delays.get(sub[0] if sub else "", 0.0)
+
+    def force_tcp_for(self, sub: Tuple[str, ...]) -> bool:
+        """Whether UDP queries under ``sub`` get a truncated answer."""
+        return (sub[0] if sub else "") in self.force_tcp_labels
+
     def respond(self, sub: Tuple[str, ...], qtype: RdataType, ctx: PolicyContext) -> SynthResponse:
         specs = self._match(sub)
-        response = SynthResponse()
-        head = sub[0] if sub else ""
-        response.delay = self.delays.get(head, 0.0)
-        response.force_tcp = head in self.force_tcp_labels
+        response = SynthResponse(delay=self.delay_for(sub), force_tcp=self.force_tcp_for(sub))
         if specs is None:
             response.nxdomain = True
             return response
@@ -665,10 +671,11 @@ class NotifyEmailPolicy(TestPolicy):
             documented=True, section="4.3.1",
         )
 
+    def delay_for(self, sub: Tuple[str, ...]) -> float:
+        return 0.1 if sub in (("l1",), ("l2",)) else 0.0
+
     def respond(self, sub: Tuple[str, ...], qtype: RdataType, ctx: PolicyContext) -> SynthResponse:
-        response = SynthResponse()
-        if sub in (("l1",), ("l2",)):
-            response.delay = 0.1
+        response = SynthResponse(delay=self.delay_for(sub))
         if sub == ():
             if qtype == RdataType.TXT:
                 response.records.append(

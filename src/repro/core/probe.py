@@ -63,6 +63,16 @@ class ProbeResult:
     def invalid_recipient(self) -> bool:
         return self.error_stage == "rcpt"
 
+    def __reduce__(self):
+        # One flat tuple of the fields, in constructor order: workers ship
+        # every result home, and the default per-object state dict costs
+        # the coordinator an allocation each on load.
+        return ProbeResult, (
+            self.mtaid, self.testid, self.target_ip, self.stage_reached,
+            self.accepted_username, self.error_stage, self.error_text,
+            self.replies, self.t_started, self.t_finished,
+        )
+
 
 class ProbeClient:
     """Drives probe conversations from the measurement host."""

@@ -10,9 +10,10 @@ analysis consumes.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field as dataclasses_field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import chain
+from operator import attrgetter
+from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Set, Tuple
 
 from repro.core.synth import SynthConfig
 from repro.dns.name import Name
@@ -51,6 +52,25 @@ class AttributedQuery:
         """First sublabel ('' for the base/L0 name)."""
         return self.sub[0] if self.sub else ""
 
+    def __reduce__(self):
+        # One flat tuple per query (the entry's fields inlined): workers
+        # ship thousands of these, and the default per-object state
+        # dicts cost the coordinator an allocation each on load.
+        entry = self.entry
+        return _attributed_query, (
+            entry.timestamp, entry.qname, entry.qtype, entry.transport, entry.client_ip,
+            self.experiment, self.mtaid, self.testid, self.sub,
+        )
+
+
+def _attributed_query(timestamp, qname, qtype, transport, client_ip, experiment, mtaid, testid, sub):
+    entry = QueryLogEntry(timestamp, qname, qtype, transport, client_ip)
+    return AttributedQuery(entry, experiment, mtaid, testid, sub)
+
+
+#: Sort key of attributed queries: virtual time.
+_by_time = attrgetter("entry.timestamp")
+
 
 @dataclass
 class AttributionStats:
@@ -75,6 +95,24 @@ class AttributionStats:
     @property
     def dropped(self) -> int:
         return self.dropped_foreign + self.dropped_short
+
+    @classmethod
+    def merged(cls, parts: Iterable["AttributionStats"]) -> "AttributionStats":
+        """The stats of one attribution over the union of the parts'
+        logs: the counts add up, and the short entries come in timestamp
+        order (stable across the parts, in the order given), as
+        attributing the timestamp-sorted union lists them."""
+        merged = cls()
+        for part in parts:
+            merged.total += part.total
+            merged.attributed += part.attributed
+            merged.dropped_foreign += part.dropped_foreign
+            merged.dropped_short += part.dropped_short
+            merged.short_entries.extend(part.short_entries)
+            for experiment, count in part.by_experiment.items():
+                merged.by_experiment[experiment] = merged.by_experiment.get(experiment, 0) + count
+        merged.short_entries.sort(key=attrgetter("timestamp"))
+        return merged
 
 
 def attribute_queries_with_stats(
@@ -127,11 +165,26 @@ def attribute_queries(
     return attributed
 
 
-class QueryIndex:
-    """Groupings of attributed queries used by the analyses."""
+class AttributedLog(Protocol):
+    """One attribution's output: its queries in timestamp order, and its
+    accounting."""
 
-    def __init__(self, queries: Iterable[AttributedQuery]) -> None:
-        self.queries: List[AttributedQuery] = sorted(queries, key=lambda q: q.timestamp)
+    queries: List[AttributedQuery]
+    stats: Optional[AttributionStats]
+
+
+class QueryIndex:
+    """Groupings of attributed queries used by the analyses.
+
+    ``stats`` accounts for the attribution that produced the queries,
+    when the index came from one (None for an index loaded from a trace).
+    """
+
+    def __init__(
+        self, queries: Iterable[AttributedQuery], stats: Optional[AttributionStats] = None
+    ) -> None:
+        self.queries: List[AttributedQuery] = sorted(queries, key=_by_time)
+        self.stats = stats
         self._by_pair: Dict[Tuple[str, str], List[AttributedQuery]] = {}
         self._by_mta: Dict[str, List[AttributedQuery]] = {}
         # Precomputed id cross-maps: mtas_observed/tests_with_activity are
@@ -146,17 +199,25 @@ class QueryIndex:
             self._tests_by_mta.setdefault(query.mtaid, set()).add(query.testid)
 
     @classmethod
-    def merge(cls, indexes: Sequence["QueryIndex"]) -> "QueryIndex":
-        """One index over the union of ``indexes``' queries.
+    def merge(cls, indexes: Sequence["AttributedLog"]) -> "QueryIndex":
+        """One index over the union of ``indexes``' queries, with their
+        stats merged (None unless every input has stats).  An input is
+        an index or anything else holding time-sorted ``queries`` and
+        their ``stats``, such as a shard worker's result.
 
-        Each input is already time-sorted (the constructor's invariant),
-        so this is a k-way sorted merge.  The result holds the same query
-        multiset as an index built over the concatenated raw logs: shard
-        workers and the serial path produce content-identical indexes
-        because attributed queries carry absolute virtual timestamps.
+        Attribution is pure per entry, so this equals attributing the
+        timestamp-sorted union of the inputs' logs once: shard workers
+        and the serial path produce identical indexes because attributed
+        queries carry absolute virtual timestamps.  Each input is already
+        time-sorted (the constructor's invariant), so the stable sort of
+        their concatenation is a run merge, and equal timestamps keep
+        the inputs' order.
         """
-        merged = heapq.merge(*(index.queries for index in indexes), key=lambda q: q.timestamp)
-        return cls(merged)
+        stats = [index.stats for index in indexes]
+        merged_stats = None
+        if all(part is not None for part in stats):
+            merged_stats = AttributionStats.merged(stats)
+        return cls(chain.from_iterable(index.queries for index in indexes), merged_stats)
 
     def for_pair(self, mtaid: str, testid: str) -> List[AttributedQuery]:
         """Queries induced by one (MTA, test policy) pair, time-ordered."""

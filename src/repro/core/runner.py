@@ -21,10 +21,11 @@ Every campaign runs on one engine, :mod:`repro.core.parallel`.
 ``--workers N`` (default: one per CPU) sets how many workers pull MTA
 units (probe campaigns) or provider units (NotifyEmail) from its work
 queue; ``--workers 1`` is one in-process worker of the same engine, not
-a separate path.  The merge is deterministic and attributes each query
-log once, so every report, trace, tracecheck, and metrics artefact is
-identical whichever worker count produced it, and whichever worker ran
-which unit.  Each worker reconciles its spans against its own query log.
+a separate path.  Each worker attributes its own query log once; the
+merge is deterministic and attributes nothing again, so every report,
+trace, tracecheck, and metrics artefact is identical whichever worker
+count produced it, and whichever worker ran which unit.  Each worker
+reconciles its spans against its own query log.
 The one exception is ``<name>_spans.jsonl``: span objects never cross a
 process boundary, so only a one-worker run writes the span dump.
 
@@ -63,12 +64,11 @@ from repro.core.fingerprint import fingerprint_fleet
 from repro.core.parallel import (
     MergedCampaign,
     default_workers,
-    merge_raw_logs,
     run_notify_sharded,
     run_probe_sharded,
 )
 from repro.core.faultmatrix import FAULT_SCENARIOS, run_fault_matrix
-from repro.core.querylog import AttributionStats, QueryIndex, attribute_queries_with_stats
+from repro.core.querylog import QueryIndex
 from repro.core.report import render_histogram
 from repro.core.synth import SynthConfig
 from repro.lint.tracecheck import check_index
@@ -236,7 +236,7 @@ def _write_experiment(
     if isinstance(result, ProbeCampaignResult):
         trace.save_probe_results(result.results, args.out / ("%s_probes.jsonl" % name))
     tracecheck = args.out / ("%s_tracecheck.txt" % name)
-    clean = _postflight(result.index, merged.stats, merged.synth_config, tracecheck, sink)
+    clean = _postflight(result.index, merged.synth_config, tracecheck, sink)
     clean &= _write_obs(merged, args.out, name, sink)
     sink.say("  -> %s" % report)
     return clean
@@ -281,13 +281,12 @@ def _run_notify_family(args, wanted, sink: ProgressSink) -> bool:
 
 def _accumulate(notify: MergedCampaign, notifymx: MergedCampaign) -> None:
     """Make ``notifymx`` cumulative over both notify campaigns, as if one
-    testbed had run them back to back (see ``OBSERVABILITY.md``): one
-    attribution of the merged query logs serves the index and the
-    tracecheck, the metrics merge, and the NotifyMX spans follow the
-    NotifyEmail spans with their ids shifted past the first phase's."""
-    notifymx.raw_log = merge_raw_logs([notify.raw_log, notifymx.raw_log])
-    attributed, notifymx.stats = attribute_queries_with_stats(notifymx.raw_log, notifymx.synth_config)
-    notifymx.result.index = QueryIndex(attributed)
+    testbed had run them back to back (see ``OBSERVABILITY.md``): the
+    two attributed indexes merge by timestamp into the one the NotifyMX
+    report and tracecheck read, the metrics merge, and the NotifyMX
+    spans follow the NotifyEmail spans with their ids shifted past the
+    first phase's."""
+    notifymx.result.index = QueryIndex.merge([notify.result.index, notifymx.result.index])
     if notify.metrics is not None and notifymx.metrics is not None:
         notifymx.metrics = MetricsRegistry.merged([notify.metrics, notifymx.metrics])
     if notify.spans is not None and notifymx.spans is not None:
@@ -327,13 +326,11 @@ def _run_faultmatrix(args, sink: ProgressSink) -> None:
     sink.say("  -> %s" % (args.out / "faultmatrix_report.txt"))
 
 
-def _postflight(
-    index: QueryIndex, stats: AttributionStats, config: SynthConfig, path: Path, sink: ProgressSink
-) -> bool:
+def _postflight(index: QueryIndex, config: SynthConfig, path: Path, sink: ProgressSink) -> bool:
     """Diff an attributed query log against the policy footprints; the
     written report is an artefact like any other.  Returns whether the
     trace was clean."""
-    result = check_index(index, config=config, stats=stats)
+    result = check_index(index, config=config, stats=index.stats)
     header = "tracecheck: %d queries over %d (mtaid, testid) pairs" % (
         result.queries_checked,
         result.pairs_checked,

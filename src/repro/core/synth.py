@@ -114,11 +114,11 @@ class SynthesizingAuthority(AuthoritativeServer):
         self.response_delay = self._policy_delay
         self.force_tcp_for = self._policy_force_tcp
         # Per-query synthesis is pure (policies are static, the context is
-        # a function of the qname), but the server computes it up to three
-        # times per query: the delay hook, the force-TCP hook, and
-        # resolve() itself each re-parse and re-synthesize.  Campaign
-        # traffic also repeats names heavily (every validating MTA walks
-        # the same per-policy record graph), so memoize both stages.
+        # a function of the qname), and the server parses each query's
+        # name up to three times: the delay hook, the force-TCP hook, and
+        # resolve() itself.  Campaign traffic also repeats names heavily
+        # (every validating MTA walks the same per-policy record graph),
+        # so memoize both the parse and the answer.
         # Name's hash/equality are case-insensitive and _parse lowercases,
         # so DNS 0x20-randomized repeats of one name share an entry.
         self._parse_cache: Dict[Name, object] = {}
@@ -269,14 +269,14 @@ class SynthesizingAuthority(AuthoritativeServer):
         return None
 
     # -- per-query options ----------------------------------------------
-
-    def _policy_options(self, qname: Name, qtype: RdataType):
-        return self._respond(qname, qtype)
+    #
+    # Both depend on the policy and the sublabels alone, never on the
+    # query type or the records, so neither synthesizes an answer.
 
     def _policy_delay(self, qname: Name, qtype: RdataType) -> float:
-        synthesized = self._policy_options(qname, qtype)
-        return synthesized.delay if synthesized is not None else 0.0
+        parsed = self._parse_cached(qname)
+        return parsed[0].delay_for(parsed[1]) if parsed is not None else 0.0
 
     def _policy_force_tcp(self, qname: Name) -> bool:
-        synthesized = self._policy_options(qname, RdataType.TXT)
-        return synthesized.force_tcp if synthesized is not None else False
+        parsed = self._parse_cached(qname)
+        return parsed[0].force_tcp_for(parsed[1]) if parsed is not None else False

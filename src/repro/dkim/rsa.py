@@ -16,7 +16,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple
 
 from repro.dkim.errors import DkimKeyError
@@ -103,6 +103,16 @@ class RsaPrivateKey:
     d: int
     p: int
     q: int
+    # The CRT parameters, derived once per key: d mod (p-1), d mod (q-1)
+    # and q^-1 mod p.
+    dp: int = field(init=False, repr=False, compare=False)
+    dq: int = field(init=False, repr=False, compare=False)
+    q_inv: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "dp", self.d % (self.p - 1))
+        object.__setattr__(self, "dq", self.d % (self.q - 1))
+        object.__setattr__(self, "q_inv", pow(self.q, -1, self.p))
 
     @property
     def byte_length(self) -> int:
@@ -113,12 +123,9 @@ class RsaPrivateKey:
         em = _emsa_pkcs1_v15(message, self.byte_length)
         m = int.from_bytes(em, "big")
         # CRT: two half-size exponentiations instead of one full-size.
-        dp = self.d % (self.p - 1)
-        dq = self.d % (self.q - 1)
-        q_inv = pow(self.q, -1, self.p)
-        m1 = pow(m % self.p, dp, self.p)
-        m2 = pow(m % self.q, dq, self.q)
-        h = (q_inv * (m1 - m2)) % self.p
+        m1 = pow(m % self.p, self.dp, self.p)
+        m2 = pow(m % self.q, self.dq, self.q)
+        h = (self.q_inv * (m1 - m2)) % self.p
         s = m2 + h * self.q
         return s.to_bytes(self.byte_length, "big")
 

@@ -72,6 +72,11 @@ class Name:
         name._key = tuple([label.lower() for label in labels])
         return name
 
+    def __reduce__(self):
+        # The labels alone: the key is derived again on load, and a name
+        # pickles as one tuple instead of a slots-state dict.
+        return _name_from_labels, (self._labels,)
+
     # -- structure ------------------------------------------------------
 
     @property
@@ -149,6 +154,11 @@ class Name:
         if omit_final_dot and text != ".":
             text = text[:-1]
         return text
+
+
+def _name_from_labels(labels: Tuple[str, ...]) -> Name:
+    """Unpickle a :class:`Name` (its labels were validated when it was built)."""
+    return Name.trusted(labels)
 
 
 def as_name(value: Union[str, Iterable[str], Name]) -> Name:

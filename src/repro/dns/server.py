@@ -51,6 +51,10 @@ class QueryLogEntry:
     def over_ipv6(self) -> bool:
         return is_ipv6(self.client_ip)
 
+    def __reduce__(self):
+        # One flat tuple instead of a per-entry state dict.
+        return QueryLogEntry, (self.timestamp, self.qname, self.qtype, self.transport, self.client_ip)
+
 
 class AuthoritativeServer:
     """An authoritative-only server for a set of zones.

@@ -10,13 +10,18 @@ supports that headline guarantee.
 """
 
 import dataclasses
+import gc
 import math
 import multiprocessing
 import os
+import pickle
+import random
 import signal
 from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import analysis as A
 from repro.core import campaign as campaign_module
@@ -35,13 +40,15 @@ from repro.core.preflight import PreflightError
 from repro.core.probe import ProbeClient
 from repro.core.parallel import (
     ShardError,
-    merge_raw_logs,
     notify_units,
     probe_units,
     run_notify_sharded,
     run_probe_sharded,
 )
-from repro.core.querylog import QueryIndex
+from repro.core.querylog import QueryIndex, attribute_queries_with_stats
+from repro.dns.name import Name
+from repro.dns.rdata import RdataType
+from repro.dns.server import QueryLogEntry
 from repro.lint.tracecheck import check_index
 from repro.mta.sender import SendingMta
 from repro.net.faults import FaultPlan
@@ -68,6 +75,26 @@ def serial_probe(universe):
     testbed = Testbed(universe, seed=3, obs=obs)
     result = ProbeCampaign(testbed, "notifymx", seed=5, start_time=1e7).run()
     return result, testbed, obs
+
+
+@pytest.fixture(scope="module")
+def run_log(serial_notify, serial_probe):
+    """A NotifyEmail log followed by a NotifyMX log (where the NotifyMX
+    phase starts), plus unattributable entries that tie existing
+    timestamps: (log, boundary, synth config)."""
+    notify_log = list(serial_notify[1].synth.query_log)
+    probe_log = list(serial_probe[1].synth.query_log)
+    config = serial_probe[1].synth_config
+    strays = ["www.example.com", "x.%s" % config.probe_suffix, config.notify_suffix]
+    for log in (notify_log, probe_log):
+        for position in (len(log) // 3, len(log) // 2, len(log) - 1):
+            tie = log[position]
+            for text in strays:
+                log.insert(
+                    position + 1,
+                    QueryLogEntry(tie.timestamp, Name(text), RdataType.TXT, "udp", tie.client_ip),
+                )
+    return notify_log + probe_log, len(notify_log), config
 
 
 def query_key(query):
@@ -229,18 +256,42 @@ class TestMergeAlgebra:
         with pytest.raises(ValueError):
             a.merge_from(b)
 
-    def test_query_index_merge_matches_rebuild(self, serial_probe):
-        result, _, _ = serial_probe
-        queries = result.index.queries
-        parts = [
-            QueryIndex(queries[0::3]),
-            QueryIndex(queries[1::3]),
-            QueryIndex(queries[2::3]),
-        ]
-        merged = QueryIndex.merge(parts)
-        assert Counter(map(query_key, merged.queries)) == Counter(map(query_key, queries))
-        assert merged.mtas_observed() == result.index.mtas_observed()
-        assert sorted(merged.pairs()) == sorted(result.index.pairs())
+    @settings(
+        max_examples=10, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(at_boundary=st.booleans(), parts=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_query_index_merge_matches_rebuild(self, run_log, at_boundary, parts, seed):
+        """Attributing parts of a log apart and merging the indexes is
+        attributing the timestamp-sorted whole once, stats included.
+        Parts keep the log's arrival order, as a worker's log does; with
+        ``at_boundary`` the log first splits between NotifyEmail and
+        NotifyMX and the two merged halves merge again, as the runner
+        accumulates them."""
+        log, boundary, config = run_log
+        rng = random.Random(seed)
+
+        def split(entries):
+            owners = [rng.randrange(parts) for _ in entries]
+            return [[e for e, o in zip(entries, owners) if o == part] for part in range(parts)]
+
+        def merged_index(pieces):
+            return QueryIndex.merge(
+                [QueryIndex(*attribute_queries_with_stats(piece, config)) for piece in pieces]
+            )
+
+        if at_boundary:
+            halves = [split(log[:boundary]), split(log[boundary:])]
+            merged = QueryIndex.merge([merged_index(half) for half in halves])
+            pieces = halves[0] + halves[1]
+        else:
+            pieces = split(log)
+            merged = merged_index(pieces)
+        union = sorted((entry for piece in pieces for entry in piece), key=lambda e: e.timestamp)
+        rebuilt = QueryIndex(*attribute_queries_with_stats(union, config))
+        assert merged.queries == rebuilt.queries
+        assert merged.stats == rebuilt.stats
+        assert merged.pairs() == rebuilt.pairs()
+        assert merged.stats.dropped_short and merged.stats.dropped_foreign
 
 
 def assert_metrics_equal(serial: MetricsRegistry, merged: MetricsRegistry):
@@ -510,11 +561,62 @@ class TestWorkerFailures:
         assert not multiprocessing.active_children()
 
 
-class TestMergeRawLogs:
-    def test_timestamp_order(self, serial_probe):
-        result, testbed, _ = serial_probe
-        raw = testbed.synth.query_log
-        merged = merge_raw_logs([raw[0::2], raw[1::2]])
-        assert len(merged) == len(raw)
-        times = [entry.timestamp for entry in merged]
-        assert times == sorted(times)
+class TestGcFreeze:
+    """A worker freezes the collector's view of every object alive when
+    it pulls a unit, and unfreezes when it ends, success or not: the
+    freeze is process-wide state and must not outlive the call."""
+
+    def test_units_run_frozen(self, universe, monkeypatch):
+        frozen = []
+        real = ProbeClient.probe
+
+        def probe(self, *args):
+            if not frozen:  # counting walks the frozen objects: once is enough
+                frozen.append(gc.get_freeze_count())
+            return real(self, *args)
+
+        monkeypatch.setattr(ProbeClient, "probe", probe)
+        assert gc.get_freeze_count() == 0
+        probe_parallel(universe, 1, False, testids=("t01",))
+        assert frozen[0] > 0
+        assert gc.get_freeze_count() == 0
+
+    @pytest.mark.parametrize("use_processes", [False, True], ids=["inline", "processes"])
+    def test_probe_run_leaves_nothing_frozen(self, universe, use_processes):
+        probe_parallel(universe, 2, use_processes, testids=("t01", "t03"))
+        assert gc.get_freeze_count() == 0
+
+    def test_notify_run_leaves_nothing_frozen(self, universe):
+        run_notify_sharded(universe, workers=1, testbed_seed=3)
+        assert gc.get_freeze_count() == 0
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["inline", "processes"])
+    def test_failed_unit_leaves_nothing_frozen(self, universe, monkeypatch, workers):
+        mtaid = probe_units(probe_schedule(universe, ("t01",), seed=5))[-1].key
+        fail_probes_of(monkeypatch, mtaid, boom)
+        with pytest.raises(ShardError):
+            probe_parallel(universe, workers, True, testids=("t01",))
+        assert gc.get_freeze_count() == 0
+
+
+class TestCompactPickles:
+    """What crosses the worker pipe pickles as flat field tuples, and
+    loads equal to what was sent."""
+
+    def test_shipped_records_round_trip(self, serial_probe):
+        result, _, _ = serial_probe
+        shipped = (result.results, result.index.queries, [q.entry for q in result.index.queries])
+        loaded = pickle.loads(pickle.dumps(shipped, protocol=pickle.HIGHEST_PROTOCOL))
+        assert loaded == shipped
+        names = [q.entry.qname for q in loaded[1]]
+        assert [n.labels for n in names] == [q.entry.qname.labels for q in result.index.queries]
+        assert [n.key for n in names] == [q.entry.qname.key for q in result.index.queries]
+
+    def test_records_pickle_without_state_dicts(self, serial_probe):
+        result, _, _ = serial_probe
+        for record in (result.results[0], result.index.queries[0], result.index.queries[0].entry):
+            constructor, fields = record.__reduce__()
+            assert constructor(*fields) == record
+            assert all(not isinstance(value, dict) for value in fields)
+        name = Name("MiXed.Example.COM")
+        assert pickle.loads(pickle.dumps(name)).labels == name.labels

@@ -1,5 +1,7 @@
 """Tests for the test-policy catalogue and the synthesizing DNS server."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.policies import (
@@ -9,9 +11,12 @@ from repro.core.policies import (
     policy_by_id,
     t02_query_order,
 )
+from repro.core.campaign import NotifyEmailCampaign, ProbeCampaign, Testbed
+from repro.core.datasets import DatasetSpec, generate_universe
 from repro.core.synth import SynthConfig, SynthesizingAuthority
 from repro.dns import wire
 from repro.dns.message import Message
+from repro.dns.name import Name
 from repro.dns.rdata import Rcode, RdataType
 from repro.dns.resolver import AuthorityDirectory, Resolver
 from repro.net.clock import Clock
@@ -243,6 +248,71 @@ class TestSynthServer:
         _, server, resolver, config = deployed
         resolver.query_at("t12.mLOG.%s" % config.probe_suffix, RdataType.TXT, 0.0)
         assert any("mlog" in str(e.qname).lower() for e in server.query_log)
+
+
+def _probe_subs(policy):
+    """Sublabel tuples that reach ``policy``'s delays, TC labels, record
+    patterns and misses."""
+    subs = {(), ("zz",), ("l1",), ("l2",), ("l3",), ("mta",), ("sel", "_domainkey")}
+    subs |= {(label,) for label in policy.delays if label}
+    subs |= {(label,) for label in policy.force_tcp_labels}
+    for pattern in policy.records:
+        subs.add(tuple("x" if label == "*" else label for label in pattern if label != "**"))
+    return sorted(subs)
+
+
+class TestSynthOptionHooks:
+    """The server's delay and force-TCP hooks read the policy without
+    synthesizing an answer, and agree with every answer it synthesizes."""
+
+    QTYPES = (RdataType.TXT, RdataType.A, RdataType.AAAA, RdataType.MX)
+
+    def test_hooks_agree_with_the_answers(self):
+        config = SynthConfig(sender_ips=("203.0.113.9",), dkim_key_b64="QUJD")
+        server = SynthesizingAuthority(config)
+        names = []
+        for policy in POLICIES:
+            for sub in _probe_subs(policy):
+                names.append(".".join(sub + (policy.testid, "m00001", config.probe_suffix)))
+                names.append(".".join(sub + (policy.testid, "m00001", config.v6_suffix)))
+        for sub in _probe_subs(NOTIFY_POLICY):
+            names.append(".".join(sub + ("d00001", config.notify_suffix)))
+        names += ["example.org", "m00001.%s" % config.probe_suffix, config.notify_suffix]
+        for text in names:
+            qname = Name(text)
+            for qtype in self.QTYPES:
+                answer = server._respond(qname, qtype)
+                delay = answer.delay if answer is not None else 0.0
+                assert server._policy_delay(qname, qtype) == delay, (text, qtype)
+            answer = server._respond(qname, RdataType.TXT)
+            force_tcp = answer.force_tcp if answer is not None else False
+            assert server._policy_force_tcp(qname) == force_tcp, text
+        assert server._policy_delay(Name("l1.d00001.%s" % config.notify_suffix), RdataType.A) == 0.1
+        assert server._policy_force_tcp(Name("l1tcp.t09.m1.%s" % config.probe_suffix))
+
+    def test_respond_runs_once_per_answered_query(self, monkeypatch):
+        """Each distinct (name, type) the server answers is synthesized
+        once, and nothing is synthesized for a query that never came."""
+        calls = []
+        for policy in list(POLICIES) + [NOTIFY_POLICY]:
+            real = policy.respond
+
+            def respond(sub, qtype, ctx, real=real):
+                calls.append((sub, ctx.mtaid, ctx.testid, qtype))
+                return real(sub, qtype, ctx)
+
+            monkeypatch.setattr(policy, "respond", respond)
+        universe = generate_universe(DatasetSpec.notify_email(scale=0.002), seed=7)
+        testbed = Testbed(universe, seed=3)
+        NotifyEmailCampaign(testbed).run()
+        ProbeCampaign(testbed, "NotifyMX", testids=("t01", "t02", "t09", "t34"), start_time=1e7).run()
+        queried = {
+            (query.sub, query.mtaid, query.testid, query.qtype)
+            for query in testbed.query_index().queries
+        }
+        assert calls and max(Counter(calls).values()) == 1
+        assert set(calls) <= queried
+        assert len(calls) < len(testbed.synth.query_log)
 
 
 def AuthorityDirectoryFrom(resolver):

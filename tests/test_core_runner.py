@@ -1,5 +1,7 @@
 """Tests for the CLI experiment runner."""
 
+import sys
+
 import pytest
 
 from repro.core import parallel, querylog, runner
@@ -229,10 +231,12 @@ class TestOneEngine:
             assert (out / dump).read_bytes() == (direct / dump).read_bytes(), dump
 
     @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "workers"])
-    def test_one_coordinator_attribution_per_experiment(self, tmp_path, monkeypatch, workers):
-        """The merge attributes each campaign's query log once; NotifyMX
-        adds one attribution of the cumulative log, which its index and
-        tracecheck share.  Attributions inside a worker do not count."""
+    def test_attribution_passes_per_experiment(self, tmp_path, monkeypatch, workers):
+        """Each worker attributes its query log once, and reconciles its
+        spans with a second, independent attribution; the coordinator
+        merges attributed queries and attributes nothing, NotifyMX's
+        cumulative index included.  With one worker every pass runs in
+        this process: 2 per experiment, 6 for ``all``."""
         log = []
         in_worker = []
         real_attribute = querylog.attribute_queries_with_stats
@@ -240,8 +244,7 @@ class TestOneEngine:
         real_notify, real_probe = runner.run_notify_sharded, runner.run_probe_sharded
 
         def attribute(*args, **kwargs):
-            if not in_worker:
-                log.append("attribute")
+            log.append("worker" if in_worker else "coordinator")
             return real_attribute(*args, **kwargs)
 
         def run_shard(job):
@@ -259,7 +262,12 @@ class TestOneEngine:
             log.append(name.lower())
             return real_probe(universe, name, **kwargs)
 
-        for module in (querylog, parallel, runner):
+        holders = [
+            module for module in list(sys.modules.values())
+            if getattr(module, "attribute_queries_with_stats", None) is real_attribute
+        ]
+        assert reconcile in holders
+        for module in holders:
             monkeypatch.setattr(module, "attribute_queries_with_stats", attribute)
         monkeypatch.setattr(parallel, "run_shard", run_shard)
         monkeypatch.setattr(runner, "run_notify_sharded", run_notify)
@@ -271,9 +279,11 @@ class TestOneEngine:
         assert code == 0
         counts = {}
         for entry in log:
-            if entry == "attribute":
-                counts[experiment] += 1
+            if entry in ("worker", "coordinator"):
+                counts[experiment][entry] += 1
             else:
                 experiment = entry
-                counts[experiment] = 0
-        assert counts == {"notifyemail": 1, "notifymx": 2, "twoweekmx": 1}
+                counts[experiment] = {"worker": 0, "coordinator": 0}
+        in_process = 2 if workers == 1 else 0
+        expected = {"worker": in_process, "coordinator": 0}
+        assert counts == {"notifyemail": expected, "notifymx": expected, "twoweekmx": expected}

@@ -62,6 +62,17 @@ class TestSignVerify:
         # PKCS#1 v1.5 signing is deterministic (unlike PSS).
         assert KEYPAIR.private.sign(b"abc") == KEYPAIR.private.sign(b"abc")
 
+    def test_known_answer(self):
+        """A fixed key and message give the recorded signature bytes, so
+        a change to how signing computes cannot change what it signs."""
+        message = b"From: spf-test@example.com\r\nSubject: known answer\r\n\r\nbody\r\n"
+        assert KEYPAIR.private.sign(message).hex() == (
+            "a9b83391858bebdd343a521d9bd45b75dc91fefcea13203af578da9522481c2c"
+            "b3aed0c21f06063c8b84dfb94a29d5a68cc9600521cacc39e68c93f37d10ebfc"
+            "c273f223bedc4014705e4d08ccd783b1c529c61ef0ba15a98f18f55866055d99"
+            "12bd540fcde0af411948d9d3ce33b9747df6fda30b83eba1df869e788deb11ef"
+        )
+
     def test_empty_message(self):
         signature = KEYPAIR.private.sign(b"")
         assert KEYPAIR.public.verify(b"", signature)
