@@ -35,7 +35,9 @@ import time
 from benchmarks.conftest import SEED, emit
 from repro.core.campaign import NotifyEmailCampaign, ProbeCampaign, Testbed
 from repro.core.datasets import DatasetSpec, generate_universe
+from repro.core.trace import save_probe_results, save_query_log
 from repro.obs import NULL_OBS
+from repro.obs.spans import save_spans
 
 #: Interleaved live/null pairs per measurement attempt.
 ROUNDS = int(os.environ.get("REPRO_BENCH_OBS_ROUNDS", "9"))
@@ -132,8 +134,20 @@ def test_probe_campaign_overhead_reported():
     assert best_live / best_null - 1.0 < 1.0
 
 
-def test_primitive_costs_reported():
-    """Per-operation costs of the three primitives, for the record."""
+def _write_us_per_record(save, records, path, rounds=5):
+    """Best-of-``rounds`` CPU microseconds per record for one artefact write."""
+    best = float("inf")
+    for _ in range(rounds):
+        gc.collect()
+        t_start = time.process_time()
+        save(records, path)
+        best = min(best, time.process_time() - t_start)
+    return 1e6 * best / len(records)
+
+
+def test_primitive_costs_reported(tmp_path):
+    """Per-operation costs of the three primitives and per-record costs
+    of the three JSON-lines artefact writes, for the record."""
     from repro.obs import Observability
 
     obs = Observability()
@@ -156,10 +170,23 @@ def test_primitive_costs_reported():
             span.end(t + 1.0)
 
     span_us = per_op(span_once)
+
+    # The runner's raw records, from one small live probe campaign.
+    universe = generate_universe(DatasetSpec.two_week_mx(scale=OBS_SCALE / 2), seed=SEED + 20)
+    testbed = Testbed(universe, seed=SEED + 21)
+    results = ProbeCampaign(testbed, "bench").run().results
+    spans = testbed.obs.tracer.finished
+    queries = testbed.query_index().queries
+    dump_us = _write_us_per_record(save_spans, spans, tmp_path / "spans.jsonl")
+    querylog_us = _write_us_per_record(save_query_log, queries, tmp_path / "queries.jsonl")
+    probes_us = _write_us_per_record(save_probe_results, results, tmp_path / "probes.jsonl")
     emit(
         "obs overhead: primitives",
-        "counter %.2f us/op   observe %.2f us/op   span %.2f us/op   (n=%d)"
-        % (counter_us, observe_us, span_us, n),
+        "counter %.2f us/op   observe %.2f us/op   span %.2f us/op   (n=%d)\n"
+        "write: span dump %.2f us/record (n=%d)   query log %.2f us/record (n=%d)   "
+        "probe transcripts %.2f us/record (n=%d)"
+        % (counter_us, observe_us, span_us, n, dump_us, len(spans), querylog_us, len(queries),
+           probes_us, len(results)),
     )
     # Generous sanity bounds — an order of magnitude above measured.
     assert counter_us < 5.0 and observe_us < 5.0 and span_us < 15.0

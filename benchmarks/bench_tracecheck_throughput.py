@@ -60,14 +60,14 @@ def _synthesize_log(total):
 @pytest.fixture(scope="module")
 def synthetic_index():
     attributed, stats = attribute_queries_with_stats(_synthesize_log(ENTRIES), CONFIG)
-    return QueryIndex(attributed), stats
+    return QueryIndex(attributed, stats)
 
 
 def test_bench_tracecheck_throughput(benchmark, synthetic_index):
-    index, stats = synthetic_index
+    index = synthetic_index
 
     def run():
-        return check_index(index, config=CONFIG, stats=stats)
+        return check_index(index, config=CONFIG)
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert result.clean, result.report.render_text()

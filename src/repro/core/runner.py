@@ -330,7 +330,7 @@ def _postflight(index: QueryIndex, config: SynthConfig, path: Path, sink: Progre
     """Diff an attributed query log against the policy footprints; the
     written report is an artefact like any other.  Returns whether the
     trace was clean."""
-    result = check_index(index, config=config, stats=index.stats)
+    result = check_index(index, config=config)
     header = "tracecheck: %d queries over %d (mtaid, testid) pairs" % (
         result.queries_checked,
         result.pairs_checked,

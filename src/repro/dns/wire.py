@@ -5,6 +5,16 @@ the resolver and the authoritative servers really do speak the wire
 protocol: name compression pointers are emitted and followed, the TC bit
 controls the UDP 512-octet ceiling, and malformed input raises
 :class:`~repro.dns.errors.WireError` rather than being silently accepted.
+
+Compression matches names case-insensitively: the encoder looks stored
+suffixes up by :attr:`~repro.dns.name.Name.key`, so a later name that
+differs from an earlier one only in case goes out as a pointer and
+decodes with the earlier casing (an answer owner ``n.0.`` after the
+question ``N.0.`` comes back as ``N.0.``).  This is deliberate and
+pinned by a test: matching exact casing would change message sizes and
+could move truncation decisions.  The question is always encoded first,
+so its casing — which the resolver's DNS 0x20 check compares — is on the
+wire verbatim.
 """
 
 from __future__ import annotations

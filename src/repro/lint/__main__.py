@@ -11,7 +11,7 @@ Subcommands::
     python -m repro.lint rules
     python -m repro.lint --self-check
 
-``zone`` reads a minimal three-column record file (see ``_load_zone``);
+``zone`` reads an RFC 1035 master file (``repro.dns.zonefile.parse_zone``);
 ``policies`` audits the paper's 39 test policies statically; ``repo``
 runs the AST rule engine over a source tree (default: this very
 package) and can emit SARIF 2.1.0 for CI code-scanning upload;
@@ -29,8 +29,8 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.dns.rdata import AAAARecord, ARecord, CnameRecord, MxRecord, Rdata, TxtRecord
-from repro.dns.zone import Zone
+from repro.dns.errors import DnsError
+from repro.dns.zonefile import ZoneFileError, parse_zone
 from repro.lint.astcheck import check_source_tree
 from repro.lint.diagnostics import RULES
 from repro.lint.dkimlint import audit_key_record, audit_signature_header
@@ -59,10 +59,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     zone = commands.add_parser(
         "zone",
-        help="audit every SPF/DMARC publisher in a record file",
-        description="File format: one 'name TYPE value' per line; '#' comments; "
-        "'@' for the origin; TXT values may be double-quoted; MX values are "
-        "'preference exchange'.",
+        help="audit every SPF/DMARC publisher in a zone master file",
+        description="File format: an RFC 1035 master file, e.g. one 'name [ttl] "
+        "[IN] TYPE rdata' per line; ';' comments; '@' for the origin; names "
+        "without a trailing dot, owners and rdata alike, are relative to the "
+        "origin; TXT strings double-quoted; MX rdata is 'preference exchange'.",
     )
     zone.add_argument("path", type=Path)
     zone.add_argument("--origin", required=True, help="zone origin, e.g. example.com")
@@ -144,9 +145,9 @@ def _cmd_record(args) -> int:
 
 def _cmd_zone(args) -> int:
     try:
-        zone = _load_zone(args.path, args.origin)
-    except (OSError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        zone = parse_zone(args.path.read_text(encoding="utf-8"), origin=args.origin)
+    except (OSError, ValueError, DnsError, ZoneFileError) as exc:
+        print("error: %s: %s" % (args.path, exc), file=sys.stderr)
         return 2
     audit = audit_zone(zone)
     if args.json:
@@ -273,40 +274,6 @@ def _audit_dict(audit: SpfAudit) -> dict:
         },
         "findings": [d.to_dict() for d in audit.report.diagnostics],
     }
-
-
-def _load_zone(path: Path, origin: str) -> Zone:
-    """Read a three-column ``name TYPE value`` record file into a Zone."""
-    zone = Zone(origin)
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            name, rtype, value = line.split(None, 2)
-        except ValueError:
-            raise ValueError("%s:%d: expected 'name TYPE value'" % (path, lineno)) from None
-        owner = origin if name == "@" else (name if name.endswith(".") else "%s.%s" % (name, origin))
-        try:
-            zone.add(owner, _parse_rdata(rtype.upper(), value))
-        except ValueError as exc:
-            raise ValueError("%s:%d: %s" % (path, lineno, exc)) from None
-    return zone
-
-
-def _parse_rdata(rtype: str, value: str) -> Rdata:
-    if rtype == "TXT":
-        return TxtRecord(value.strip('"'))
-    if rtype == "A":
-        return ARecord(value)
-    if rtype == "AAAA":
-        return AAAARecord(value)
-    if rtype == "MX":
-        preference, _, exchange = value.partition(" ")
-        return MxRecord(int(preference), exchange.strip())
-    if rtype == "CNAME":
-        return CnameRecord(value)
-    raise ValueError("unsupported record type %r" % rtype)
 
 
 if __name__ == "__main__":

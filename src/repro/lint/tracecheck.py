@@ -32,7 +32,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.policies import NOTIFY_POLICY, POLICIES, PolicyContext, TestPolicy
 from repro.core.preflight import PolicyRecordSource
-from repro.core.querylog import AttributedQuery, AttributionStats, QueryIndex
+from repro.core.querylog import AttributedQuery, QueryIndex
 from repro.core.synth import SynthConfig
 from repro.dns.name import Name
 from repro.dns.rdata import CnameRecord, RdataType
@@ -355,13 +355,14 @@ def check_index(
     index: QueryIndex,
     policies: Optional[Iterable[TestPolicy]] = None,
     config: Optional[SynthConfig] = None,
-    stats: Optional[AttributionStats] = None,
     predictions: Optional[Dict[str, StaticPrediction]] = None,
 ) -> TraceCheckResult:
     """Diff every attributed query stream against its policy footprint.
 
-    ``stats`` (from :func:`~repro.core.querylog.attribute_queries_with_stats`)
-    enables the unattributable-traffic check; ``predictions`` (testid ->
+    The stats of the attribution that built ``index``
+    (:attr:`~repro.core.querylog.QueryIndex.stats`, carried by every
+    index an attribution builds) enable the unattributable-traffic
+    check; ``predictions`` (testid ->
     :class:`~repro.lint.spfgraph.StaticPrediction`, e.g. from preflight)
     enables the footprint-vs-prediction bound.  On output from an intact
     harness every rule is silent — each one firing means a layer between
@@ -374,6 +375,7 @@ def check_index(
     result = TraceCheckResult()
     report = result.report
 
+    stats = index.stats
     if stats is not None and stats.dropped_short:
         report.add(
             "TRACE007",

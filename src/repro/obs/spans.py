@@ -10,17 +10,19 @@ each check performed — across simulated hosts.
 
 Start and end instants are explicit virtual timestamps (the same values
 threaded through every protocol API); a span that is never explicitly
-ended closes at its start time.  Span dumps are JSON-lines files with
-the same header-record convention as :mod:`repro.core.trace`, so the
-``<name>_spans.jsonl`` runner artefact is loadable next to the query
-log it must reconcile with (:mod:`repro.obs.reconcile`).
+ended closes at its start time.  Span dumps are JSON-lines files
+written and read by :mod:`repro.obs.jsonl`, like the query log of
+:mod:`repro.core.trace`, so the ``<name>_spans.jsonl`` runner artefact
+is loadable next to the query log it must reconcile with
+(:mod:`repro.obs.reconcile`).
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
+
+from repro.obs.jsonl import Fragments, read_jsonl, string, write_jsonl
 
 SPAN_FORMAT = "repro-spans"
 SPAN_FORMAT_VERSION = 1
@@ -239,61 +241,73 @@ def _attr_text(value: object) -> str:
     return value if isinstance(value, str) else str(value)
 
 
+_SPAN_LINE = '{"id": %s, "parent": %s, "name": %s, "t0": %s, "t1": %s, "attrs": %s}\n'
+
+
+def save_spans(spans: Iterable[Span], path: Union[str, Path]) -> int:
+    """Write finished spans as JSON lines; returns the record count."""
+    return write_jsonl(path, SPAN_FORMAT, SPAN_FORMAT_VERSION, spans, _span_line, _span_record)
+
+
 def _attr_json(value: object) -> object:
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     return str(value)
 
 
-def save_spans(spans: Iterable[Span], path: Union[str, Path]) -> int:
-    """Write finished spans as JSON lines; returns the record count."""
-    path = Path(path)
-    count = 0
-    with path.open("w", encoding="utf-8") as handle:
-        handle.write(json.dumps({"format": SPAN_FORMAT, "version": SPAN_FORMAT_VERSION}) + "\n")
-        for span in spans:
-            record = {
-                "id": span.span_id,
-                "parent": span.parent_id,
-                "name": span.name,
-                "t0": span.t_start,
-                "t1": span.t_end if span.t_end is not None else span.t_start,
-                "attrs": {key: _attr_json(value) for key, value in span.attrs.items()},
-            }
-            handle.write(json.dumps(record) + "\n")
-            count += 1
-    return count
+# One dump line is json.dumps(_span_record(span)); _span_line writes the
+# same bytes from _SPAN_LINE, or returns None to leave a span to json.dumps.
+
+
+def _span_record(span: Span) -> dict:
+    return {
+        "id": span.span_id,
+        "parent": span.parent_id,
+        "name": span.name,
+        "t0": span.t_start,
+        "t1": span.t_end if span.t_end is not None else span.t_start,
+        "attrs": {key: _attr_json(value) for key, value in span.attrs.items()},
+    }
+
+
+def _span_line(span: Span, fragments: Fragments) -> Optional[str]:
+    span_id = span.span_id
+    parent = span.parent_id
+    t_start = span.t_start
+    t_end = span.t_end
+    if t_end is None:
+        t_end = t_start
+    if (
+        type(span_id) is not int
+        or not (parent is None or type(parent) is int)
+        or t_start - t_start  # NaN or ±Infinity
+        or t_end - t_end
+    ):
+        return None
+    return _SPAN_LINE % (
+        int.__repr__(span_id),
+        "null" if parent is None else int.__repr__(parent),
+        string(span.name),
+        float.__repr__(t_start),
+        float.__repr__(t_end),
+        fragments.attrs(span.attrs),
+    )
 
 
 def load_spans(path: Union[str, Path]) -> List[Span]:
     """Read a span dump back; attributes come back JSON-typed."""
-    path = Path(path)
     spans: List[Span] = []
-    with path.open("r", encoding="utf-8") as handle:
-        first = handle.readline()
+    for line_number, record in read_jsonl(path, SPAN_FORMAT, SPAN_FORMAT_VERSION, SpanError, "span-dump"):
         try:
-            header = json.loads(first)
-        except json.JSONDecodeError as exc:
-            raise SpanError("%s: missing span-dump header" % path) from exc
-        if not isinstance(header, dict) or header.get("format") != SPAN_FORMAT:
-            raise SpanError("%s: expected %s dump, found %r" % (path, SPAN_FORMAT, header))
-        if header.get("version") != SPAN_FORMAT_VERSION:
-            raise SpanError("%s: unsupported span-dump version %r" % (path, header.get("version")))
-        for line_number, line in enumerate(handle, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                span = Span(
-                    record["name"],
-                    float(record["t0"]),
-                    int(record["id"]),
-                    record["parent"],
-                    attrs=dict(record["attrs"]),
-                )
-                span.end(float(record["t1"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SpanError("%s:%d: bad span record: %s" % (path, line_number, exc)) from exc
-            spans.append(span)
+            span = Span(
+                record["name"],
+                float(record["t0"]),
+                int(record["id"]),
+                record["parent"],
+                attrs=dict(record["attrs"]),
+            )
+            span.end(float(record["t1"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SpanError("%s:%d: bad span record: %s" % (path, line_number, exc)) from exc
+        spans.append(span)
     return spans

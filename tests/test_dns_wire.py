@@ -109,6 +109,28 @@ class TestCompression:
         assert parsed.answer[0].rdata.target == Name("ns.a.example.com")
         assert parsed.answer[1].rdata.target == Name("ns2.a.example.com")
 
+    def test_compression_matches_names_case_insensitively(self):
+        # Pinned on purpose: compression targets are matched by Name.key,
+        # so a later name that differs from an earlier one only in case
+        # goes out as a pointer and decodes with the earlier casing.
+        # Matching exact casing instead would change message sizes and
+        # could move truncation decisions; see the wire module docstring.
+        message = Message.make_query("N.0.Example", RdataType.TXT)
+        message.flags.qr = True
+        message.answer.append(ResourceRecord("n.0.example", 60, TxtRecord("x")))
+        message.answer.append(ResourceRecord("sub.N.0.EXAMPLE", 60, TxtRecord("y")))
+        encoded = wire.to_wire(message)
+        parsed = wire.from_wire(encoded)
+        assert parsed.qname.labels == ("N", "0", "Example")
+        assert parsed.answer[0].name.labels == ("N", "0", "Example")
+        assert parsed.answer[1].name.labels == ("sub", "N", "0", "Example")
+        assert parsed.answer[0].name == Name("n.0.example")
+        # Both owners point into the question: a 2-octet pointer, after a
+        # 4-octet "sub" label in the second.  Each record also carries 10
+        # octets of type/class/ttl/rdlength and 2 of one-character TXT.
+        question = (2 + 2 + 8 + 1) + 4
+        assert len(encoded) == 12 + question + (2 + 10 + 2) + (4 + 2 + 10 + 2)
+
     def test_self_referential_pointer_rejected(self):
         # Header with qdcount=1, then a name that is a pointer to itself
         # (offset 12).  Chasing it must be rejected, not loop forever.

@@ -1,12 +1,17 @@
 """Tests for the ``python -m repro.lint`` front end: output formats
-(text/JSON/SARIF), the repo subcommand, and the DKIM subcommands."""
+(text/JSON/SARIF), the zone, repo and DKIM subcommands."""
 
+import importlib.util
 import json
+import pathlib
 import textwrap
 
-from repro.lint.__main__ import main
+from repro.lint import audit_zone
+from repro.lint.__main__ import _audit_dict, main
 from repro.lint.diagnostics import RULES, LintReport, Severity
 from repro.lint.sarif import SARIF_VERSION, to_sarif
+
+EXAMPLES = pathlib.Path(__file__).parent.parent / "examples"
 
 
 class TestRecordJson:
@@ -134,3 +139,80 @@ class TestSarifRenderer:
                 Severity.WARNING: "warning",
                 Severity.INFO: "note",
             }[severity]
+
+
+def _zone_example():
+    spec = importlib.util.spec_from_file_location("example_zone_lint", EXAMPLES / "zone_lint.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _payload(audit):
+    """What ``--json zone`` prints for one zone audit."""
+    return {
+        "origin": audit.origin,
+        "findings": [d.to_dict() for d in audit.report.diagnostics],
+        "spf": {domain: _audit_dict(a) for domain, a in sorted(audit.spf_audits.items())},
+    }
+
+
+class TestZoneSubcommand:
+    """``zone`` reads master files: the example zones, written with
+    relative owner and rdata names, audit exactly as built in code."""
+
+    def _textbook(self, key):
+        # The 2048-bit key is longer than one character-string: split it
+        # where the in-code TxtRecord splits it, at 255 octets.
+        dkim = "v=DKIM1; k=rsa; p=%s" % key
+        strings = " ".join('"%s"' % dkim[i : i + 255] for i in range(0, len(dkim), 255))
+        return textwrap.dedent(
+            """\
+            ; the textbook sender: every name below is relative to the origin
+            @                TXT  "v=spf1 mx ip4:203.0.113.0/28 -all"
+            @                MX   10 mx
+            mx               A    203.0.113.1
+            mail._domainkey  TXT  %s
+            _dmarc           TXT  "v=DMARC1; p=reject; rua=mailto:d@textbook.example"
+            """
+        ) % strings
+
+    TRAPPED = textwrap.dedent(
+        """\
+        $ORIGIN trapped.example.
+        @       TXT ( "v=spf1 include:loop.trapped.example a:gone1.trapped.example "
+                      "a:gone2.trapped.example a:gone3.trapped.example ?all" )
+        loop    TXT "v=spf1 include:trapped.example ?all"  ; re-enters the parent
+        _dmarc  TXT "v=DMARC1; p=none; pct=10"
+        """
+    )
+
+    def _run(self, capsys, tmp_path, text, origin):
+        path = tmp_path / ("%s.zone" % origin)
+        path.write_text(text, encoding="utf-8")
+        exit_code = main(["--json", "zone", str(path), "--origin", origin])
+        return exit_code, json.loads(capsys.readouterr().out)
+
+    def test_textbook_zone_matches_in_code_audit(self, capsys, tmp_path):
+        example = _zone_example()
+        exit_code, payload = self._run(capsys, tmp_path, self._textbook(example.KEY_B64), "textbook.example")
+        assert exit_code == 0
+        assert payload == _payload(audit_zone(example.build_textbook()))
+        # The relative MX target resolves under the origin, so the SPF
+        # prediction is complete rather than a lower bound.
+        assert payload["spf"]["textbook.example"]["prediction"]["complete"] is True
+        assert payload["findings"] == []
+
+    def test_trapped_zone_matches_in_code_audit(self, capsys, tmp_path):
+        example = _zone_example()
+        exit_code, payload = self._run(capsys, tmp_path, self.TRAPPED, "trapped.example")
+        expected = audit_zone(example.build_trapped())
+        assert exit_code == (1 if expected.report.errors else 0)
+        assert payload == _payload(expected)
+        assert {"SPF013", "DMARC002"} <= {finding["code"] for finding in payload["findings"]}
+
+    def test_malformed_file_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.zone"
+        path.write_text('@ TXT "unterminated\n', encoding="utf-8")
+        assert main(["zone", str(path), "--origin", "example.com"]) == 2
+        assert "line 1" in capsys.readouterr().err

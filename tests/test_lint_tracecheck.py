@@ -75,30 +75,26 @@ def clean_run():
     NotifyEmailCampaign(testbed).run()
     apply_reputation_effects(universe, seed=503)
     ProbeCampaign(testbed, "NotifyMX", start_time=5e6).run()
-    attributed, stats = attribute_queries_with_stats(
-        testbed.synth.query_log, testbed.synth_config
-    )
-    return testbed, QueryIndex(attributed), stats
+    return testbed, testbed.query_index()
 
 
 class TestCleanRun:
     def test_zero_findings_over_all_policies(self, clean_run):
-        testbed, index, stats = clean_run
+        testbed, index = clean_run
+        assert index.stats is not None
         testids = {testid for _, testid in index.pairs()}
         assert testids >= {policy.testid for policy in POLICIES}, "probe coverage"
         assert "notify" in testids
-        result = check_index(index, config=testbed.synth_config, stats=stats)
+        result = check_index(index, config=testbed.synth_config)
         assert result.pairs_checked == len(index.pairs())
         assert result.queries_checked == len(index)
         assert result.clean, result.report.render_text()
 
     def test_zero_findings_with_preflight_predictions(self, clean_run):
-        testbed, index, stats = clean_run
+        testbed, index = clean_run
         audits = preflight_policies(list(POLICIES) + [NOTIFY_POLICY])
         predictions = {testid: audit.prediction for testid, audit in audits.items()}
-        result = check_index(
-            index, config=testbed.synth_config, stats=stats, predictions=predictions
-        )
+        result = check_index(index, config=testbed.synth_config, predictions=predictions)
         assert result.clean, result.report.render_text()
 
 
@@ -112,8 +108,9 @@ def _entry(name, qtype, ts=1.0, client="203.0.113.9", transport="udp"):
 
 
 def _index(entries):
-    attributed, stats = attribute_queries_with_stats(entries, CONFIG)
-    return QueryIndex(attributed), stats
+    """An attributed index carrying its attribution's stats, as every
+    index the harness builds does."""
+    return QueryIndex(*attribute_queries_with_stats(entries, CONFIG))
 
 
 PROBE_ROOT = "t01.mta1.%s" % CONFIG.probe_suffix
@@ -122,7 +119,7 @@ NOTIFY_ROOT = "d0.%s" % CONFIG.notify_suffix
 
 class TestInjectedFaults:
     def test_trace001_impossible_name(self):
-        index, _ = _index(
+        index = _index(
             [
                 _entry(PROBE_ROOT, RdataType.TXT, ts=1.0),
                 _entry("no.such.name.%s" % PROBE_ROOT, RdataType.TXT, ts=2.0),
@@ -132,18 +129,18 @@ class TestInjectedFaults:
         assert result.report.codes() == ["TRACE001"]
 
     def test_trace002_impossible_qtype(self):
-        index, _ = _index([_entry(NOTIFY_ROOT, RdataType.MX, ts=1.0)])
+        index = _index([_entry(NOTIFY_ROOT, RdataType.MX, ts=1.0)])
         result = check_index(index, config=CONFIG)
         assert result.report.codes() == ["TRACE002"]
 
     def test_trace003_negative_timestamp(self):
-        index, _ = _index([_entry(PROBE_ROOT, RdataType.TXT, ts=-4.0)])
+        index = _index([_entry(PROBE_ROOT, RdataType.TXT, ts=-4.0)])
         result = check_index(index, config=CONFIG)
         assert result.report.codes() == ["TRACE003"]
 
     def test_trace004_v6_suffix_over_ipv4(self):
         v6_name = "l1.t10.mta1.%s" % CONFIG.v6_suffix
-        index, _ = _index(
+        index = _index(
             [
                 _entry("t10.mta1.%s" % CONFIG.probe_suffix, RdataType.TXT, ts=1.0),
                 # An IPv4 client address: impossible, the v6 suffix is
@@ -156,7 +153,7 @@ class TestInjectedFaults:
 
     def test_trace004_silent_over_ipv6(self):
         v6_name = "l1.t10.mta1.%s" % CONFIG.v6_suffix
-        index, _ = _index(
+        index = _index(
             [
                 _entry("t10.mta1.%s" % CONFIG.probe_suffix, RdataType.TXT, ts=1.0),
                 _entry(v6_name, RdataType.TXT, ts=2.0, client="2001:db8:9::9"),
@@ -167,14 +164,14 @@ class TestInjectedFaults:
     def test_trace005_walk_without_root_fetch(self):
         # The include target's TXT appears, but the L0 record that names
         # it was never fetched: no validator behaves that way.
-        index, _ = _index([_entry("l1.%s" % NOTIFY_ROOT, RdataType.TXT, ts=1.0)])
+        index = _index([_entry("l1.%s" % NOTIFY_ROOT, RdataType.TXT, ts=1.0)])
         result = check_index(index, config=CONFIG)
         assert result.report.codes() == ["TRACE005"]
 
     def test_trace006_footprint_exceeds_stale_prediction(self):
         # Simulates catalogue drift: the deployed policy walks two
         # mechanism targets while the (stale) static audit promised one.
-        index, _ = _index(
+        index = _index(
             [
                 _entry(NOTIFY_ROOT, RdataType.TXT, ts=1.0),
                 _entry("l1.%s" % NOTIFY_ROOT, RdataType.TXT, ts=2.0),
@@ -190,18 +187,35 @@ class TestInjectedFaults:
 
     def test_trace007_unattributable_in_suffix_traffic(self):
         # One label under the probe suffix cannot carry (mtaid, testid).
-        index, stats = _index([_entry("orphan.%s" % CONFIG.probe_suffix, RdataType.TXT)])
-        assert stats.dropped_short == 1
-        result = check_index(index, config=CONFIG, stats=stats)
+        index = _index([_entry("orphan.%s" % CONFIG.probe_suffix, RdataType.TXT)])
+        assert index.stats.dropped_short == 1
+        result = check_index(index, config=CONFIG)
         assert result.report.codes() == ["TRACE007"]
 
+    def test_trace007_from_a_testbed_index_alone(self):
+        # The harness's own attributed index carries its stats, so the
+        # check needs nothing beside the index to see unattributable
+        # traffic.
+        universe = generate_universe(DatasetSpec.notify_email(scale=0.003), seed=511)
+        testbed = Testbed(universe, seed=512)
+        testbed.synth.query_log.append(_entry("orphan.%s" % testbed.synth_config.probe_suffix, RdataType.TXT))
+        index = testbed.query_index()
+        assert index.stats.dropped_short == 1
+        result = check_index(index, config=testbed.synth_config)
+        assert result.report.codes() == ["TRACE007"]
+
+    def test_trace007_needs_stats(self):
+        # An index built from bare queries has no attribution stats to read.
+        index = _index([_entry("orphan.%s" % CONFIG.probe_suffix, RdataType.TXT)])
+        assert check_index(QueryIndex(index.queries), config=CONFIG).clean
+
     def test_trace008_unknown_testid(self):
-        index, _ = _index([_entry("zz99.mta1.%s" % CONFIG.probe_suffix, RdataType.TXT)])
+        index = _index([_entry("zz99.mta1.%s" % CONFIG.probe_suffix, RdataType.TXT)])
         result = check_index(index, config=CONFIG)
         assert result.report.codes() == ["TRACE008"]
 
     def test_clean_pair_stays_clean(self):
-        index, stats = _index(
+        index = _index(
             [
                 _entry(NOTIFY_ROOT, RdataType.TXT, ts=1.0),
                 _entry("l1.%s" % NOTIFY_ROOT, RdataType.TXT, ts=2.0),
@@ -210,4 +224,4 @@ class TestInjectedFaults:
                 _entry("sel._domainkey.%s" % NOTIFY_ROOT, RdataType.TXT, ts=5.0),
             ]
         )
-        assert check_index(index, config=CONFIG, stats=stats).clean
+        assert check_index(index, config=CONFIG).clean
