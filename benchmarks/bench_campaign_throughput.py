@@ -106,8 +106,8 @@ def test_bench_sharded_vs_serial_probe():
 
     Same universe, same seeds: by the differential-equivalence tests the
     two arms compute identical results, so the comparison is pure
-    execution cost.  The serial arm runs the single-worker inline path;
-    the parallel arm runs four worker processes pulling MTA units from
+    execution cost.  The serial arm runs the one in-process worker; the
+    parallel arm runs four worker processes pulling MTA units from
     one work queue.
     """
     universe = generate_universe(DatasetSpec.notify_email(scale=PAR_SCALE), seed=SEED + 20)
@@ -121,7 +121,6 @@ def test_bench_sharded_vs_serial_probe():
             workers=workers,
             testbed_seed=SEED + 21,
             campaign_seed=SEED,
-            use_processes=workers > 1,
         )
         timings[workers] = time.perf_counter() - t_start
         probes = len(merged.result.results)

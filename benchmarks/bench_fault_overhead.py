@@ -23,8 +23,8 @@ import time
 from benchmarks.conftest import SEED, emit
 from repro.core.campaign import NotifyEmailCampaign, Testbed
 from repro.core.datasets import DatasetSpec, generate_universe
-from repro.net.faults import FaultPlan
-from repro.obs import NULL_OBS
+from repro.net.faults import FaultPlan, injected_by_kind
+from repro.obs import NULL_OBS, Observability
 
 #: Interleaved arm samples per measurement attempt.
 ROUNDS = int(os.environ.get("REPRO_BENCH_FAULT_ROUNDS", "9"))
@@ -85,12 +85,14 @@ def test_faulted_campaign_reported():
     universe = generate_universe(DatasetSpec.notify_email(scale=FAULT_SCALE), seed=SEED + 30)
     plan = FaultPlan.parse(FAULTED_SPEC, seed=SEED)
     testbed = Testbed(universe, seed=SEED + 31, obs=NULL_OBS, faults=plan)
+    tally = Observability()
+    plan.attach_obs(tally)  # only the injections are counted
     campaign = NotifyEmailCampaign(testbed)
     gc.collect()
     t_start = time.process_time()
     result = campaign.run()
     elapsed = time.process_time() - t_start
-    injected = sum(plan.injected.values())
+    injected = sum(injected_by_kind(tally.metrics).values())
     delivered = sum(1 for d in result.deliveries if d.delivery.accepted_with_250)
     emit(
         "fault overhead: faulted",

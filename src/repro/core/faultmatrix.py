@@ -7,9 +7,10 @@ policies script.  :func:`run_fault_matrix` turns the fault-injection
 subsystem (:mod:`repro.net.faults`) into an experiment of its own: the
 same probe campaign is replayed once per *scenario* (one canonical
 :class:`~repro.net.faults.FaultPlan` per fault kind, plus an unfaulted
-baseline), each in a freshly wired :class:`~repro.core.campaign.Testbed`
-over the same universe, and the per-MTA conversation outcomes are
-summarised side by side in one table.
+baseline), each one :func:`~repro.core.parallel.run_probe_sharded` call
+(fresh testbeds, so no state leaks between scenarios) over the same
+universe, and the per-MTA conversation outcomes are summarised side by
+side in one table, the same for every worker count.
 
 Outcome vocabulary (one bucket per probe conversation):
 
@@ -24,7 +25,8 @@ Outcome vocabulary (one bucket per probe conversation):
 
 Every scenario derives its plan seed with
 :func:`~repro.net.faults.derive_fault_seed`, so the whole matrix is a
-pure function of ``(universe, seed)`` and reruns byte-identically.
+pure function of ``(universe, seed)`` and reruns byte-identically.  A
+scenario's injection tally is its merged ``faults_injected_total``.
 """
 
 from __future__ import annotations
@@ -32,12 +34,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.campaign import ProbeCampaign, Testbed
 from repro.core.datasets import Universe
+from repro.core.parallel import run_probe_sharded
 from repro.core.probe import ProbeResult
 from repro.core.report import Table
-from repro.net.faults import FaultPlan, derive_fault_seed
-from repro.obs import NULL_OBS, Observability
+from repro.net.faults import derive_fault_seed, injected_by_kind
 
 #: One canonical scenario per fault kind.  Probabilities are deliberately
 #: heavy-handed — the matrix is a behavioural census, not a realism
@@ -73,12 +74,14 @@ def classify_outcome(result: ProbeResult) -> str:
 
 @dataclass
 class ScenarioOutcome:
-    """One scenario's probe results and injection tally."""
+    """One scenario's probe results, injection tally and span
+    reconciliation verdict."""
 
     label: str
     spec: str
     results: List[ProbeResult] = field(default_factory=list)
-    injected: Dict[str, int] = field(default_factory=dict)
+    injections: Dict[str, int] = field(default_factory=dict)
+    reconciled: Optional[bool] = None
 
     @property
     def buckets(self) -> Dict[str, int]:
@@ -93,8 +96,12 @@ class FaultMatrixResult:
     """The full matrix: one :class:`ScenarioOutcome` per scenario."""
 
     seed: int
-    testids: Tuple[str, ...]
     outcomes: List[ScenarioOutcome] = field(default_factory=list)
+
+    @property
+    def reconciled(self) -> bool:
+        """False if any scenario's span reconciliation failed."""
+        return all(outcome.reconciled is not False for outcome in self.outcomes)
 
     def to_table(self) -> Table:
         table = Table(
@@ -110,58 +117,38 @@ class FaultMatrixResult:
                 buckets["done"],
                 buckets["stalled"],
                 buckets["noconnect"],
-                sum(outcome.injected.values()),
+                sum(outcome.injections.values()),
             )
         table.notes.append(
             "policies %s; plan seeds derived from master seed %d"
-            % (",".join(self.testids), self.seed)
+            % (",".join(DEFAULT_TESTIDS), self.seed)
         )
         for outcome in self.outcomes:
-            if outcome.injected:
-                table.notes.append(
-                    "%s injections: %s"
-                    % (
-                        outcome.label,
-                        ", ".join(
-                            "%s=%d" % pair for pair in sorted(outcome.injected.items())
-                        ),
-                    )
-                )
+            if outcome.injections:
+                tally = ", ".join("%s=%d" % pair for pair in sorted(outcome.injections.items()))
+                table.notes.append("%s injections: %s" % (outcome.label, tally))
         return table
 
 
 def run_fault_matrix(
     universe: Universe,
     seed: int = 2021,
-    testids: Sequence[str] = DEFAULT_TESTIDS,
     scenarios: Sequence[Tuple[str, str]] = FAULT_SCENARIOS,
-    obs: Optional[Observability] = None,
+    workers: Optional[int] = None,
 ) -> FaultMatrixResult:
-    """Replay the probe campaign once per fault scenario.
-
-    Each scenario gets its own testbed (same universe, same testbed
-    seed) so fault effects cannot leak between scenarios through MTA or
-    cache state.  Observability defaults to off: the matrix table is the
-    artefact, and a shared metrics registry across ten worlds would
-    double-count everything.
-    """
-    matrix = FaultMatrixResult(seed=seed, testids=tuple(testids))
+    """Replay the probe campaign once per fault scenario, each over
+    ``workers`` workers (default: one per CPU) of
+    :mod:`repro.core.parallel`, with the same testbed seed."""
+    matrix = FaultMatrixResult(seed=seed)
     for label, spec in scenarios:
-        faults = (
-            FaultPlan.parse(spec, seed=derive_fault_seed(spec, seed)) if spec else None
+        merged = run_probe_sharded(
+            universe, "FaultMatrix:%s" % label, testids=DEFAULT_TESTIDS, workers=workers,
+            testbed_seed=seed, campaign_seed=seed,
+            faults_spec=spec, faults_seed=derive_fault_seed(spec, seed),
         )
-        testbed = Testbed(
-            universe, seed=seed, obs=obs if obs is not None else NULL_OBS, faults=faults
-        )
-        result = ProbeCampaign(
-            testbed, "FaultMatrix:%s" % label, testids=list(testids), seed=seed
-        ).run()
         matrix.outcomes.append(
             ScenarioOutcome(
-                label=label,
-                spec=spec,
-                results=result.results,
-                injected=dict(faults.injected) if faults is not None else {},
+                label, spec, merged.result.results, injected_by_kind(merged.metrics), merged.reconciled
             )
         )
     return matrix

@@ -48,10 +48,11 @@ not, so no freeze outlives the call.  The coordinator freezes its own
 heap the same way while worker processes run, so loading their results
 sets off no pass over it.
 
-One worker, or ``use_processes=False``, runs the same worker function
-in-process on a round-robin deal of the units, each job's tasks in
-schedule order.  Span ids follow execution order, so a one-worker run
-is a plain campaign run span for span, and hands its span list back on
+Two or more workers are always worker processes.  One worker runs the
+same worker function in this process, on a queue cut to one unit per
+task in schedule order (each keeping its unit's mtaid or provider key).
+Span ids follow execution order, so a one-worker run is a plain
+campaign run span for span, and hands its span list back on
 :class:`MergedCampaign`; this is the runner's ``--workers 1``.
 
 The queue is a shared cursor over the job's unit list, set per process
@@ -166,9 +167,6 @@ class ShardJob:
     #: Collect metrics and spans, and reconcile the spans against the
     #: worker's query log.
     obs_enabled: bool = True
-    #: In-process runs only: the unit index of each task this job runs,
-    #: in schedule order.  A worker process pulls from the shared queue.
-    deal: Optional[Tuple[int, ...]] = None
     # fault injection: the plan travels as (spec, seed) strings — each
     # worker rebuilds an identical FaultPlan, and because plan decisions
     # are pure functions of (seed, kind, endpoints, virtual time), every
@@ -224,8 +222,9 @@ def default_workers() -> int:
 
 
 #: A worker process's pull from the shared queue, set once per process by
-#: :func:`_worker_main` (the queue cannot travel inside the job).
-_unit_source: Iterator[int] = iter(())
+#: :func:`_worker_main` (the queue cannot travel inside the job).  Unset,
+#: as in the coordinator, :func:`run_shard` pulls every unit in order.
+_unit_source: Optional[Iterator[int]] = None
 
 
 def _shared_cursor(cursor, count: int) -> Iterator[int]:
@@ -253,17 +252,10 @@ def run_shard(job: ShardJob) -> ShardResult:
     current: List[WorkUnit] = []
 
     def pulled() -> Iterator[Task]:
-        if job.deal is None:  # a worker process: whole units off the queue
-            for index in _unit_source:
-                current[:] = [job.units[index]]
-                gc.freeze()
-                yield from job.units[index].tasks
-            return
-        unit_tasks: Dict[int, Iterator[Task]] = {}
-        for index in job.deal:
+        for index in range(len(job.units)) if _unit_source is None else _unit_source:
             current[:] = [job.units[index]]
             gc.freeze()
-            yield next(unit_tasks.setdefault(index, iter(job.units[index].tasks)))
+            yield from job.units[index].tasks
 
     campaign_class = NotifyEmailCampaign if job.campaign == _NOTIFY_CAMPAIGN else ProbeCampaign
     try:
@@ -304,24 +296,12 @@ def _worker_main(job: ShardJob, cursor, count: int, conn) -> None:
     conn.close()
 
 
-def _deal(
-    schedule: Union[Sequence[NotifyTask], Sequence[ProbeTask]], units: List[WorkUnit], slots: int
-) -> List[Tuple[int, ...]]:
-    """In-process jobs: the units dealt round-robin over ``slots``, as
-    each job's :attr:`ShardJob.deal` (its tasks in schedule order)."""
-    unit_of = {id(task): index for index, unit in enumerate(units) for task in unit.tasks}
-    deals: List[List[int]] = [[] for _ in range(slots)]
-    for task in schedule:
-        index = unit_of[id(task)]
-        deals[index % slots].append(index)
-    return [tuple(deal) for deal in deals]
-
-
 def _execute(jobs: List[ShardJob]) -> List[ShardResult]:
-    """Run every job (one per worker slot); results in slot order.  Dealt
-    jobs run in this process, the others in one worker process each."""
-    if jobs[0].deal is not None:
-        return [run_shard(job) for job in jobs]
+    """Run every job (one per worker slot); results in slot order.  A
+    single job runs in this process and pulls every unit in order; two
+    or more run in one worker process each."""
+    if len(jobs) == 1:
+        return [run_shard(jobs[0])]
     count = len(jobs[0].units)
     # The default start method (fork on Linux) lets workers inherit the
     # imported package and the memoised key pair; the coordinator starts
@@ -439,23 +419,20 @@ def _run_parallel(
     units: List[WorkUnit],
     synth_config: SynthConfig,
     workers: Optional[int],
-    use_processes: bool,
     obs: bool,
     name: str = "",
     **params,
 ) -> MergedCampaign:
     """One job per worker slot (at least one, never more than units),
-    executed and merged.  Without ``use_processes``, or with one slot,
-    every job runs in this process; otherwise each slot is a worker
-    process."""
+    executed and merged.  Two or more slots are worker processes; one
+    slot runs in this process on one unit per task, in schedule order,
+    each under its unit's key."""
     slots = max(1, min(workers if workers is not None else default_workers(), len(units)))
-    in_process = not use_processes or slots == 1
-    deals = _deal(schedule, units, slots) if in_process else [None] * slots
+    if slots == 1:
+        key_of = {id(task): unit.key for unit in units for task in unit.tasks}
+        units = [WorkUnit(key_of[id(task)], (task,)) for task in schedule]
     jobs = [
-        ShardJob(
-            campaign=campaign, shard=WorkerSlot(index), units=units, obs_enabled=obs,
-            deal=deals[index], **params,
-        )
+        ShardJob(campaign=campaign, shard=WorkerSlot(index), units=units, obs_enabled=obs, **params)
         for index in range(slots)
     ]
     return merge_shard_results(
@@ -468,7 +445,6 @@ def run_notify_sharded(
     workers: Optional[int] = None,
     testbed_seed: int = 0,
     obs: bool = True,
-    use_processes: bool = True,
     faults_spec: str = "",
     faults_seed: int = 0,
 ) -> MergedCampaign:
@@ -490,7 +466,6 @@ def run_notify_sharded(
         notify_units(schedule),
         synth_config,
         workers,
-        use_processes,
         obs,
         universe=universe,
         testbed_seed=testbed_seed,
@@ -509,7 +484,6 @@ def run_probe_sharded(
     campaign_seed: int = 0,
     start_time: float = 0.0,
     obs: bool = True,
-    use_processes: bool = True,
     faults_spec: str = "",
     faults_seed: int = 0,
 ) -> MergedCampaign:
@@ -538,7 +512,6 @@ def run_probe_sharded(
         probe_units(schedule),
         synth_config,
         workers,
-        use_processes,
         obs,
         name=name,
         universe=universe,

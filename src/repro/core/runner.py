@@ -34,8 +34,10 @@ process boundary, so only a one-worker run writes the span dump.
 seed derives from ``--seed``, so a faulted run is as reproducible as a
 clean one — including across ``--workers`` counts.  ``--experiment
 faultmatrix`` instead replays the probe campaign under one canonical
-plan per fault kind and writes ``faultmatrix_report.txt``; it never runs
-as part of ``all``.
+plan per fault kind on the same engine and ``--workers``, with obs on
+(its injection tallies are metrics), and writes the same
+``faultmatrix_report.txt`` for every worker count; it never runs as
+part of ``all``.
 
 A non-clean tracecheck or a span/query-log reconciliation mismatch means
 the harness, not a validator, misbehaved: the runner still writes every
@@ -105,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=EXPERIMENTS + ("all", "faultmatrix"),
         default="all",
         help="which experiment to run (default: all; 'faultmatrix' replays the "
-        "probe under every fault kind and is never part of 'all')",
+        "probe under every fault kind over --workers workers and is never part of 'all')",
     )
     parser.add_argument("--scale", type=_positive(float), default=0.01, help="universe scale factor (default 0.01)")
     parser.add_argument("--seed", type=int, default=2021, help="master RNG seed")
@@ -140,13 +142,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     args.out.mkdir(parents=True, exist_ok=True)
     sink = ProgressSink(quiet=args.quiet)
-    if args.experiment == "faultmatrix":
-        _run_faultmatrix(args, sink)
-        sink.say("all done in %.1f s -> %s" % (sink.elapsed(), args.out))
-        return 0
     wanted = EXPERIMENTS if args.experiment == "all" else (args.experiment,)
 
     clean = True
+    if args.experiment == "faultmatrix":
+        clean &= _run_faultmatrix(args, sink)
     if "notifyemail" in wanted or "notifymx" in wanted:
         clean &= _run_notify_family(args, wanted, sink)
     if "twoweekmx" in wanted:
@@ -313,17 +313,22 @@ def _run_twoweekmx(args, sink: ProgressSink) -> bool:
     )
 
 
-def _run_faultmatrix(args, sink: ProgressSink) -> None:
+def _run_faultmatrix(args, sink: ProgressSink) -> bool:
     """Replay the probe campaign under every canonical fault scenario
-    (see :mod:`repro.core.faultmatrix`) and write the summary table."""
+    (see :mod:`repro.core.faultmatrix`) and write the summary table;
+    False if any scenario's span reconciliation failed."""
     if args.faults:
         sink.warn("  !! --faults is ignored by faultmatrix (it runs its own scenario set)")
     sink.say("generating fault-matrix universe (scale %.3f) ..." % args.scale)
     universe = generate_universe(DatasetSpec.two_week_mx(scale=args.scale), seed=args.seed + 3)
-    sink.say("running the probe under %d fault scenarios ..." % len(FAULT_SCENARIOS))
-    matrix = run_fault_matrix(universe, seed=args.seed)
+    sink.say("running the probe under %d fault scenarios over %d worker(s) ..."
+             % (len(FAULT_SCENARIOS), args.workers))
+    matrix = run_fault_matrix(universe, seed=args.seed, workers=args.workers)
     _write(args.out / "faultmatrix_report.txt", [matrix.to_table().render()])
     sink.say("  -> %s" % (args.out / "faultmatrix_report.txt"))
+    if not matrix.reconciled:
+        sink.warn("  !! span/query-log reconciliation mismatch in at least one fault scenario")
+    return matrix.reconciled
 
 
 def _postflight(index: QueryIndex, config: SynthConfig, path: Path, sink: ProgressSink) -> bool:

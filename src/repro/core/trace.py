@@ -18,6 +18,7 @@ from typing import Iterable, List, Optional, Union
 
 from repro.core.probe import ProbeResult
 from repro.core.querylog import AttributedQuery, QueryIndex
+from repro.dns.errors import DnsError
 from repro.dns.name import Name
 from repro.dns.rdata import RdataType
 from repro.dns.server import QueryLogEntry
@@ -102,7 +103,7 @@ def load_query_log(path: Union[str, Path]) -> List[AttributedQuery]:
                     sub=tuple(record["sub"]),
                 )
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, DnsError) as exc:
             raise TraceError("%s:%d: bad record: %s" % (path, line_number, exc)) from exc
     return queries
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Tuple, Union
 
+from repro.dns.errors import DnsError
 from repro.dns.name import Name
 from repro.dns.rdata import (
     AAAARecord,
@@ -31,11 +32,12 @@ from repro.dns.rdata import (
 from repro.dns.zone import Zone
 
 
-class ZoneFileError(Exception):
-    """Malformed zone file content; carries the offending line number."""
+class ZoneFileError(DnsError):
+    """Malformed zone file content; carries the offending line number
+    (0 for an error no one line holds, such as a bad ``origin``)."""
 
     def __init__(self, message: str, line: int) -> None:
-        super().__init__("line %d: %s" % (line, message))
+        super().__init__("line %d: %s" % (line, message) if line else message)
         self.line = line
 
 
@@ -52,7 +54,7 @@ def parse_zone(text: str, origin: Optional[Union[str, Name]] = None, default_ttl
 
 class _ZoneFileParser:
     def __init__(self, origin: Optional[Union[str, Name]], default_ttl: int) -> None:
-        self.origin: Optional[Name] = Name(origin) if origin is not None else None
+        self.origin: Optional[Name] = _origin(origin, 0) if origin is not None else None
         self.default_ttl = default_ttl
         self.previous_owner: Optional[Name] = None
         self.zone: Optional[Zone] = None
@@ -73,10 +75,10 @@ class _ZoneFileParser:
         if tokens[0] == "$ORIGIN":
             if len(tokens) != 2:
                 raise ZoneFileError("$ORIGIN takes one argument", line)
-            self.origin = Name(tokens[1])
+            self.origin = _origin(tokens[1], line)
             return
         if tokens[0] == "$TTL":
-            if len(tokens) != 2 or not tokens[1].isdigit():
+            if len(tokens) != 2 or not tokens[1].isdecimal():
                 raise ZoneFileError("$TTL takes one numeric argument", line)
             self.default_ttl = int(tokens[1])
             if self.zone is not None:
@@ -102,13 +104,13 @@ class _ZoneFileParser:
         self.previous_owner = owner
 
         ttl = self.default_ttl
-        if index < len(tokens) and tokens[index].isdigit():
+        if index < len(tokens) and tokens[index].isdecimal():
             ttl = int(tokens[index])
             index += 1
         if index < len(tokens) and tokens[index].upper() == "IN":
             index += 1
         # TTL may also follow the class.
-        if index < len(tokens) and tokens[index].isdigit():
+        if index < len(tokens) and tokens[index].isdecimal():
             ttl = int(tokens[index])
             index += 1
         if index >= len(tokens):
@@ -175,6 +177,13 @@ class _ZoneFileParser:
         except Exception as exc:
             raise ZoneFileError("bad %s rdata: %s" % (rtype, exc), line) from exc
         raise ZoneFileError("unsupported record type %r" % rtype, line)
+
+
+def _origin(value: Union[str, Name], line: int) -> Name:
+    try:
+        return Name(value)
+    except DnsError as exc:
+        raise ZoneFileError("bad origin %r: %s" % (str(value), exc), line) from exc
 
 
 # -- tokenizer ---------------------------------------------------------------

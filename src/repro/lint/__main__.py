@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.dns.errors import DnsError
-from repro.dns.zonefile import ZoneFileError, parse_zone
+from repro.dns.zonefile import parse_zone
 from repro.lint.astcheck import check_source_tree
 from repro.lint.diagnostics import RULES
 from repro.lint.dkimlint import audit_key_record, audit_signature_header
@@ -146,7 +146,7 @@ def _cmd_record(args) -> int:
 def _cmd_zone(args) -> int:
     try:
         zone = parse_zone(args.path.read_text(encoding="utf-8"), origin=args.origin)
-    except (OSError, ValueError, DnsError, ZoneFileError) as exc:
+    except (OSError, UnicodeDecodeError, DnsError) as exc:
         print("error: %s: %s" % (args.path, exc), file=sys.stderr)
         return 2
     audit = audit_zone(zone)

@@ -161,9 +161,6 @@ class FaultPlan:
         self._by_kind: Dict[FaultKind, List[FaultRule]] = {}
         for rule in self.rules:
             self._by_kind.setdefault(rule.kind, []).append(rule)
-        #: Injection tally by kind value (shard-local; merged registries
-        #: carry the campaign-global ``faults_injected_total``).
-        self.injected: Dict[str, int] = {}
         self._metrics = None
 
     # -- construction ----------------------------------------------------
@@ -276,10 +273,8 @@ class FaultPlan:
         return rule
 
     def record(self, kind: FaultKind, t: float) -> None:
-        value = kind.value
-        self.injected[value] = self.injected.get(value, 0) + 1
         if self._metrics is not None:
-            self._metrics.counter("faults_injected_total", (("kind", value),), t=t)
+            self._metrics.counter("faults_injected_total", (("kind", kind.value),), t=t)
 
     def __repr__(self) -> str:
         return "FaultPlan(rules=%d, seed=%d)" % (len(self.rules), self.seed)
@@ -302,3 +297,9 @@ def derive_fault_seed(spec: str, master_seed: int) -> int:
     Every worker process derives the identical value independently.
     """
     return stable_hash64("faultplan|%s|%d" % (spec, master_seed))
+
+
+def injected_by_kind(metrics) -> Dict[str, int]:
+    """A registry's ``faults_injected_total`` counter as ``{kind: count}``
+    (see :meth:`FaultPlan.attach_obs`)."""
+    return {dict(labels)["kind"]: int(count) for labels, count in metrics.series("faults_injected_total")}

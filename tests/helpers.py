@@ -14,8 +14,11 @@ from repro.dns.resolver import AuthorityDirectory, Resolver, ResolverConfig
 from repro.dns.server import AuthoritativeServer
 from repro.dns.zone import Zone
 from repro.net.clock import Clock
+from repro.net.faults import FaultPlan
 from repro.net.latency import UniformLatency
 from repro.net.network import Network
+from repro.obs import Observability
+from repro.obs.metrics import MetricsRegistry
 
 AUTH_IP = "198.51.100.53"
 AUTH_IP6 = "2001:db8:a::53"
@@ -47,3 +50,11 @@ class World:
         address6: Optional[str] = None,
     ) -> Resolver:
         return Resolver(self.network, self.directory, address4=address4, address6=address6, config=config)
+
+
+def count_injections(plan: FaultPlan) -> MetricsRegistry:
+    """Route ``plan``'s injections into a fresh registry and return it;
+    :func:`repro.net.faults.injected_by_kind` reads the tally."""
+    obs = Observability()
+    plan.attach_obs(obs)
+    return obs.metrics

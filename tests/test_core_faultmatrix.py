@@ -48,19 +48,26 @@ class TestMatrix:
         by_label = {o.label: o for o in matrix.outcomes}
         baseline = by_label["baseline"]
         absent = by_label["banner_absent"]
-        assert baseline.injected == {}
+        assert baseline.injections == {}
         assert len(absent.results) == len(baseline.results)
         # Every conversation meets the missing banner: nothing connects.
         assert absent.buckets["noconnect"] == len(absent.results)
-        assert absent.injected.get("banner_absent", 0) >= len(absent.results)
+        assert absent.injections.get("banner_absent", 0) >= len(absent.results)
         # DNS-side faults degrade validation, not the conversation.
         assert by_label["servfail"].buckets["done"] == baseline.buckets["done"]
-        assert by_label["servfail"].injected.get("servfail", 0) > 0
+        assert by_label["servfail"].injections.get("servfail", 0) > 0
+        assert matrix.reconciled and all(o.reconciled for o in matrix.outcomes)
 
     def test_reruns_identically(self, universe):
         first = run_fault_matrix(universe, seed=13, scenarios=SCENARIOS)
         second = run_fault_matrix(universe, seed=13, scenarios=SCENARIOS)
         assert first.to_table().render() == second.to_table().render()
+
+    def test_table_is_the_same_for_every_worker_count(self, universe):
+        one = run_fault_matrix(universe, seed=13, scenarios=SCENARIOS, workers=1)
+        two = run_fault_matrix(universe, seed=13, scenarios=SCENARIOS, workers=2)
+        assert one.to_table().render() == two.to_table().render()
+        assert [o.injections for o in one.outcomes] == [o.injections for o in two.outcomes]
 
     def test_table_lists_every_scenario(self, universe):
         matrix = run_fault_matrix(universe, seed=13, scenarios=SCENARIOS)

@@ -1,10 +1,11 @@
 """Tests for work-queue parallel campaign execution (repro.core.parallel).
 
 The load-bearing property is *differential*: for W ∈ {1, 2, 3, 4} workers
-(in-process, and with real processes at W ∈ {2, 3}, with and without a
-fault plan) a parallel run must produce the same attributed-query
+(one in-process worker, or W worker processes; with a fault plan too at
+W ∈ {2, 3}) a parallel run must produce the same attributed-query
 multiset, the same analysis tables, the same metrics, and the same
-tracecheck verdict as the serial path, whichever worker ran which unit.
+tracecheck verdict as a plain campaign run, whichever worker ran which
+unit.
 Everything else (unit grouping, merge algebra, loud worker failures)
 supports that headline guarantee.
 """
@@ -198,10 +199,7 @@ class TestKeypairMemo:
     def test_probe_campaigns_generate_no_key(self, universe, keygens, tmp_path):
         from repro.core.runner import main
 
-        run_probe_sharded(
-            universe, "TwoWeekMX", testids=("t01", "t02"), workers=2,
-            testbed_seed=5, use_processes=False,
-        )
+        run_probe_sharded(universe, "TwoWeekMX", testids=("t01", "t02"), workers=1, testbed_seed=5)
         code = main([
             "--experiment", "twoweekmx", "--scale", "0.003", "--seed", "11",
             "--workers", "1", "--out", str(tmp_path), "--quiet",
@@ -210,7 +208,8 @@ class TestKeypairMemo:
         assert keygens == []
 
     def test_notify_generates_one_key_per_seed(self, universe, keygens):
-        run_notify_sharded(universe, workers=2, testbed_seed=6, use_processes=False)
+        # Generated once, before the fork: the workers inherit the key.
+        run_notify_sharded(universe, workers=2, testbed_seed=6)
         assert keygens == [6 + 4242]
         run_notify_sharded(universe, workers=1, testbed_seed=6)
         testbed = Testbed(universe, seed=6)
@@ -358,7 +357,7 @@ def assert_probe_equal(serial, obs, merged):
     )
 
 
-def probe_parallel(universe, workers, use_processes, **extra):
+def probe_parallel(universe, workers, **extra):
     return run_probe_sharded(
         universe,
         "notifymx",
@@ -366,7 +365,6 @@ def probe_parallel(universe, workers, use_processes, **extra):
         testbed_seed=3,
         campaign_seed=5,
         start_time=1e7,
-        use_processes=use_processes,
         **extra,
     )
 
@@ -385,24 +383,24 @@ def serial_faulted_probe(universe):
 
 
 class TestDifferentialEquivalence:
-    """Serial vs in-process parallel, W ∈ {1, 2, 3, 4}, both campaign kinds."""
+    """A plain run vs the engine, W ∈ {1, 2, 3, 4}, both campaign kinds:
+    one in-process worker, or W worker processes pulling from the shared
+    queue."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_notify_campaign(self, universe, serial_notify, workers):
         serial, _, obs = serial_notify
-        merged = run_notify_sharded(
-            universe, workers=workers, testbed_seed=3, use_processes=False
-        )
+        merged = run_notify_sharded(universe, workers=workers, testbed_seed=3)
         assert_notify_equal(serial, obs, merged)
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_probe_campaign(self, universe, serial_probe, workers):
         serial, _, obs = serial_probe
-        assert_probe_equal(serial, obs, probe_parallel(universe, workers, False))
+        assert_probe_equal(serial, obs, probe_parallel(universe, workers))
 
     def test_tracecheck_verdicts_match(self, universe, serial_probe):
         serial, testbed, _ = serial_probe
-        merged = probe_parallel(universe, 4, False)
+        merged = probe_parallel(universe, 4)
         serial_check = check_index(serial.index, config=testbed.synth_config)
         merged_check = check_index(merged.result.index, config=merged.synth_config)
         assert serial_check.clean == merged_check.clean
@@ -426,10 +424,10 @@ class TestRealProcesses:
     """Serial vs worker processes pulling from the shared queue."""
 
     def test_multiprocessing_smoke(self, universe, serial_notify):
-        """Pickling, the shared queue, and the merge behave identically
-        to the inline path."""
+        """Pickling, the shared queue, and the merge give a plain run's
+        queries, and the workers' span tallies come home."""
         serial, _, _ = serial_notify
-        merged = run_notify_sharded(universe, workers=2, testbed_seed=3, use_processes=True)
+        merged = run_notify_sharded(universe, workers=2, testbed_seed=3)
         assert Counter(map(query_key, merged.result.index.queries)) == Counter(
             map(query_key, serial.index.queries)
         )
@@ -438,26 +436,29 @@ class TestRealProcesses:
     @pytest.mark.parametrize("workers", [2, 3])
     def test_notify_campaign_processes(self, universe, serial_notify, workers):
         serial, _, obs = serial_notify
-        merged = run_notify_sharded(universe, workers=workers, testbed_seed=3, use_processes=True)
+        merged = run_notify_sharded(universe, workers=workers, testbed_seed=3)
         assert_notify_equal(serial, obs, merged)
+        # Spans never cross a pipe: only the workers' tallies come home.
+        assert merged.spans is None and merged.span_count > 0
         assert not multiprocessing.active_children()
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_probe_campaign_processes(self, universe, serial_probe, workers):
         serial, _, obs = serial_probe
-        assert_probe_equal(serial, obs, probe_parallel(universe, workers, True))
+        merged = probe_parallel(universe, workers)
+        assert_probe_equal(serial, obs, merged)
+        assert merged.spans is None and merged.span_count > 0
+        assert not multiprocessing.active_children()
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_faulted_probe_campaign_processes(self, universe, serial_faulted_probe, workers):
         serial, _, obs = serial_faulted_probe
-        merged = probe_parallel(
-            universe, workers, True, faults_spec=FAULTS_SPEC, faults_seed=FAULTS_SEED
-        )
+        merged = probe_parallel(universe, workers, faults_spec=FAULTS_SPEC, faults_seed=FAULTS_SEED)
         assert_probe_equal(serial, obs, merged)
         assert merged.metrics.counter_value("faults_injected_total", (("kind", "udp_loss"),))
 
     def test_per_shard_reconciliation(self, universe):
-        merged = probe_parallel(universe, 2, True, testids=("t01", "t03"))
+        merged = probe_parallel(universe, 2, testids=("t01", "t03"))
         assert merged.reconciled is True
         # Spans never cross a pipe: only the verdicts and tallies do.
         assert merged.spans is None and merged.span_count > 0
@@ -477,17 +478,14 @@ class TestOneWorker:
 
     def test_probe_spans_match_serial(self, universe, serial_probe):
         _, _, obs = serial_probe
-        merged = probe_parallel(universe, 1, True)
+        merged = probe_parallel(universe, 1)
         assert list(map(span_key, merged.spans)) == list(map(span_key, obs.tracer.finished))
-
-    def test_several_in_process_workers_return_no_spans(self, universe):
-        assert run_notify_sharded(universe, workers=2, testbed_seed=3, use_processes=False).spans is None
 
     def test_preflight_still_rejects_a_policy_without_spf(self, universe, monkeypatch):
         broken = TestPolicy("tx", "no_spf", "publishes nothing", {(): [("A", "192.0.2.1")]})
         monkeypatch.setattr(parallel_module, "policy_by_id", lambda testid: broken)
         with pytest.raises(PreflightError, match="tx"):
-            probe_parallel(universe, 1, False, testids=("tx",))
+            probe_parallel(universe, 1, testids=("tx",))
 
 
 def fail_probes_of(monkeypatch, mtaid, action):
@@ -512,24 +510,22 @@ class TestWorkerFailures:
     worker slot (and the unit when known), and leaves no worker behind."""
 
     def _last_probe_unit(self, universe):
-        units = probe_units(probe_schedule(universe, [p.testid for p in POLICIES], seed=5))
-        return len(units) - 1, units[-1].key
+        return probe_units(probe_schedule(universe, [p.testid for p in POLICIES], seed=5))[-1].key
 
-    @pytest.mark.parametrize("use_processes", [False, True], ids=["inline", "processes"])
-    def test_failed_probe_unit_is_named(self, universe, monkeypatch, use_processes):
-        index, mtaid = self._last_probe_unit(universe)
+    @pytest.mark.parametrize("workers", [1, 2], ids=["inline", "processes"])
+    def test_failed_probe_unit_is_named(self, universe, monkeypatch, workers):
+        mtaid = self._last_probe_unit(universe)
         fail_probes_of(monkeypatch, mtaid, boom)
         with pytest.raises(ShardError) as caught:
-            probe_parallel(universe, 2, use_processes)
+            probe_parallel(universe, workers)
         assert caught.value.unit == mtaid
         assert "injected probe failure" in str(caught.value)
         assert str(caught.value).startswith("worker %d on unit %s" % (caught.value.slot, mtaid))
-        if not use_processes:
-            assert caught.value.slot == index % 2  # the round-robin deal
+        assert caught.value.slot < workers
         assert not multiprocessing.active_children()
 
-    @pytest.mark.parametrize("use_processes", [False, True], ids=["inline", "processes"])
-    def test_failed_notify_unit_names_provider(self, universe, monkeypatch, use_processes):
+    @pytest.mark.parametrize("workers", [1, 2], ids=["inline", "processes"])
+    def test_failed_notify_unit_names_provider(self, universe, monkeypatch, workers):
         unit = notify_units(notify_schedule(universe.domains))[0]
         doomed = {"operator@%s" % task.domain.name for task in unit.tasks}
         real = SendingMta.send
@@ -541,7 +537,7 @@ class TestWorkerFailures:
 
         monkeypatch.setattr(SendingMta, "send", send)
         with pytest.raises(ShardError) as caught:
-            run_notify_sharded(universe, workers=2, testbed_seed=3, use_processes=use_processes)
+            run_notify_sharded(universe, workers=workers, testbed_seed=3)
         assert caught.value.unit == unit.key
         assert "injected delivery failure" in str(caught.value)
         assert not multiprocessing.active_children()
@@ -552,10 +548,10 @@ class TestWorkerFailures:
         ids=["os_exit", "sigkill"],
     )
     def test_dead_worker_is_detected(self, universe, monkeypatch, action, code):
-        _, mtaid = self._last_probe_unit(universe)
+        mtaid = self._last_probe_unit(universe)
         fail_probes_of(monkeypatch, mtaid, action)
         with pytest.raises(ShardError) as caught:
-            probe_parallel(universe, 2, True)
+            probe_parallel(universe, 2)
         assert caught.value.unit is None
         assert "exited with code %d before reporting" % code in str(caught.value)
         assert not multiprocessing.active_children()
@@ -577,13 +573,13 @@ class TestGcFreeze:
 
         monkeypatch.setattr(ProbeClient, "probe", probe)
         assert gc.get_freeze_count() == 0
-        probe_parallel(universe, 1, False, testids=("t01",))
+        probe_parallel(universe, 1, testids=("t01",))
         assert frozen[0] > 0
         assert gc.get_freeze_count() == 0
 
-    @pytest.mark.parametrize("use_processes", [False, True], ids=["inline", "processes"])
-    def test_probe_run_leaves_nothing_frozen(self, universe, use_processes):
-        probe_parallel(universe, 2, use_processes, testids=("t01", "t03"))
+    @pytest.mark.parametrize("workers", [1, 2], ids=["inline", "processes"])
+    def test_probe_run_leaves_nothing_frozen(self, universe, workers):
+        probe_parallel(universe, workers, testids=("t01", "t03"))
         assert gc.get_freeze_count() == 0
 
     def test_notify_run_leaves_nothing_frozen(self, universe):
@@ -595,7 +591,7 @@ class TestGcFreeze:
         mtaid = probe_units(probe_schedule(universe, ("t01",), seed=5))[-1].key
         fail_probes_of(monkeypatch, mtaid, boom)
         with pytest.raises(ShardError):
-            probe_parallel(universe, workers, True, testids=("t01",))
+            probe_parallel(universe, workers, testids=("t01",))
         assert gc.get_freeze_count() == 0
 
 

@@ -177,8 +177,8 @@ class TestVerdictsGateExitCode:
         assert self._run(tmp_path, workers) == 1
         assert "injected finding" in (tmp_path / "twoweekmx_tracecheck.txt").read_text()
 
-    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "workers"])
-    def test_failed_reconciliation_exits_nonzero(self, tmp_path, monkeypatch, workers):
+    @staticmethod
+    def _mismatch_reconciliation(monkeypatch):
         real = reconcile.reconcile_spans
 
         def mismatched(*args, **kwargs):
@@ -189,7 +189,20 @@ class TestVerdictsGateExitCode:
         # Every worker, in-process or forked after the patch, imports it
         # from its module per call.
         monkeypatch.setattr(reconcile, "reconcile_spans", mismatched)
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "workers"])
+    def test_failed_reconciliation_exits_nonzero(self, tmp_path, monkeypatch, workers):
+        self._mismatch_reconciliation(monkeypatch)
         assert self._run(tmp_path, workers) == 1
+
+    def test_failed_reconciliation_fails_the_fault_matrix(self, tmp_path, monkeypatch):
+        self._mismatch_reconciliation(monkeypatch)
+        code = main([
+            "--experiment", "faultmatrix", "--scale", "0.001", "--seed", "7",
+            "--out", str(tmp_path), "--quiet", "--workers", "1",
+        ])
+        assert code == 1
+        assert "Fault matrix" in (tmp_path / "faultmatrix_report.txt").read_text()
 
     @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "workers"])
     def test_clean_run_exits_zero(self, tmp_path, workers):

@@ -82,6 +82,26 @@ class TestQueryLogRoundtrip:
             load_query_log(path)
         assert ":3:" in str(info.value)
 
+    @pytest.mark.parametrize(
+        "field, value", [(None, [1]), ("t", None), ("qname", "a..b")], ids=["not-an-object", "null-t", "bad-qname"]
+    )
+    def test_wrong_json_record_locates_line(self, campaign, tmp_path, field, value):
+        """A line that is valid JSON but not a query record raises
+        TraceError naming its line, whatever the loader trips over."""
+        path = tmp_path / "queries.jsonl"
+        save_query_log(list(campaign.index.queries)[:3], path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[2])
+        if field is None:
+            record = value
+        else:
+            record[field] = value
+        lines[2] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceError) as info:
+            load_query_log(path)
+        assert ":3:" in str(info.value)
+
 
 class TestProbeResultsRoundtrip:
     def test_roundtrip(self, campaign, tmp_path):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dns.errors import DnsError
 from repro.dns.name import Name
 from repro.dns.rdata import RdataType
 from repro.dns.zone import LookupStatus
@@ -154,6 +155,27 @@ class TestErrors:
     def test_missing_rdata_fields(self):
         with pytest.raises(ZoneFileError):
             parse_zone("$ORIGIN t.test.\nhost IN MX 10")
+
+    def test_zone_file_errors_are_dns_errors(self):
+        assert issubclass(ZoneFileError, DnsError)
+
+    def test_bad_origin_argument(self):
+        with pytest.raises(ZoneFileError) as info:
+            parse_zone("@ A 192.0.2.1", origin="a..b")
+        assert info.value.line == 0
+        assert str(info.value).startswith("bad origin 'a..b'")
+
+    def test_bad_origin_directive_carries_line_number(self):
+        with pytest.raises(ZoneFileError) as info:
+            parse_zone("$ORIGIN t.test.\nhost A 192.0.2.1\n$ORIGIN a..b\n")
+        assert info.value.line == 3
+        assert "bad origin 'a..b'" in str(info.value)
+
+    @pytest.mark.parametrize("text", ["$TTL \u00b2\n@ A 192.0.2.1", "@ \u00b2 A 192.0.2.1"])
+    def test_non_decimal_digit_ttl(self, text):
+        # '²' passes str.isdigit() but not int(): it is no TTL.
+        with pytest.raises(ZoneFileError):
+            parse_zone(text, origin="t.test")
 
 
 def test_zone_file_round_trip_through_server():

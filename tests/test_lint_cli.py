@@ -216,3 +216,15 @@ class TestZoneSubcommand:
         path.write_text('@ TXT "unterminated\n', encoding="utf-8")
         assert main(["zone", str(path), "--origin", "example.com"]) == 2
         assert "line 1" in capsys.readouterr().err
+
+    def test_bad_origin_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "ok.zone"
+        path.write_text("@ A 192.0.2.1\n", encoding="utf-8")
+        assert main(["zone", str(path), "--origin", "a..b"]) == 2
+        assert "error: %s: bad origin 'a..b'" % path in capsys.readouterr().err
+
+    def test_non_utf8_file_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.zone"
+        path.write_bytes(b'@ TXT "caf\xe9"\n')
+        assert main(["zone", str(path), "--origin", "example.com"]) == 2
+        assert "error: %s:" % path in capsys.readouterr().err
