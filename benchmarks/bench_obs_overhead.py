@@ -26,11 +26,19 @@ The probe campaign is reported as well but not gated: a probe
 conversation is almost nothing *but* instrumented protocol rounds (no
 message bodies, no DKIM signing), so its ratio is a worst-case
 per-event diagnostic rather than a throughput claim.
+
+Span memory is gated too: a worker process keeps a unit's spans only
+until the unit ends (OBSERVABILITY.md, "Worker runs"), so its peak RSS
+must stay near the coordinator's however many spans it opens.
 """
 
 import gc
 import os
+import subprocess
+import sys
 import time
+
+import pytest
 
 from benchmarks.conftest import SEED, emit
 from repro.core.campaign import NotifyEmailCampaign, ProbeCampaign, Testbed
@@ -45,6 +53,11 @@ ROUNDS = int(os.environ.get("REPRO_BENCH_OBS_ROUNDS", "9"))
 OBS_SCALE = float(os.environ.get("REPRO_BENCH_OBS_SCALE", "0.01"))
 #: The gate from the observability contract.
 THRESHOLD = 0.05
+#: Worker-memory gate: a worker's peak RSS over the coordinator's, for
+#: 2-worker TwoWeekMX at the larger of the two measured scales.
+WORKER_RSS_RATIO = 1.6
+#: Scales of the worker-memory runs; the last one is gated.
+WORKER_RSS_SCALES = (0.01, 0.05)
 
 
 def _time_campaign(universe, make_campaign, obs):
@@ -190,3 +203,55 @@ def test_primitive_costs_reported(tmp_path):
     )
     # Generous sanity bounds — an order of magnitude above measured.
     assert counter_us < 5.0 and observe_us < 5.0 and span_us < 15.0
+
+
+# One 2-worker TwoWeekMX run; prints its span count and the largest
+# worker's and the coordinator's peak RSS in KiB (Linux ru_maxrss units).
+_PEAK_RSS_SCRIPT = """
+import resource, sys
+from repro.core.datasets import DatasetSpec, generate_universe
+from repro.core.parallel import run_probe_sharded
+
+scale, seed = float(sys.argv[1]), int(sys.argv[2])
+universe = generate_universe(DatasetSpec.two_week_mx(scale=scale), seed=seed)
+merged = run_probe_sharded(universe, "twoweekmx", workers=2, testbed_seed=seed + 1)
+assert merged.reconciled is True
+print(merged.span_count, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,
+      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def _peak_rss_mb(scale):
+    """(spans, worker MB, coordinator MB) of one run in a fresh interpreter:
+    peak RSS is a process-lifetime maximum, so this one must not inherit
+    the bench session's heap or its earlier children."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    completed = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_SCRIPT, repr(scale), str(SEED)],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert completed.returncode == 0, completed.stderr
+    spans, worker_kib, coordinator_kib = map(int, completed.stdout.split())
+    return spans, worker_kib / 1024.0, coordinator_kib / 1024.0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
+def test_worker_span_memory_is_bounded():
+    """A worker process drops each unit's spans at the unit's end, so its
+    peak RSS stays within 1.6x the coordinator's as the campaign grows
+    (keeping every span until the shard ended cost about 2x at 0.05)."""
+    lines, ratio = [], 0.0
+    for scale in WORKER_RSS_SCALES:
+        spans, worker_mb, coordinator_mb = _peak_rss_mb(scale)
+        ratio = worker_mb / coordinator_mb
+        lines.append(
+            "worker memory: TwoWeekMX scale %g, 2 workers, %d spans: worker peak %.1f MB, "
+            "coordinator peak %.1f MB (%.2fx)" % (scale, spans, worker_mb, coordinator_mb, ratio)
+        )
+    emit("obs overhead: worker memory", "\n".join(lines), append=True)
+    assert ratio <= WORKER_RSS_RATIO, (
+        "a worker peaks at %.2fx the coordinator's RSS at scale %g (gate %.1fx): "
+        "are worker spans outliving their unit?" % (ratio, WORKER_RSS_SCALES[-1], WORKER_RSS_RATIO)
+    )

@@ -157,9 +157,10 @@ def _write_sections(path: pathlib.Path, sections: Dict[str, str]) -> None:
     )
 
 
-def emit(name: str, text: str) -> None:
+def emit(name: str, text: str, append: bool = False) -> None:
     """Print a bench artefact and persist it under benchmarks/out/,
-    replacing this bench's earlier section of ``report.txt``."""
+    replacing this bench's earlier section of ``report.txt``; with
+    ``append``, its ``<bench>.txt`` file is added to, not rewritten."""
     print("\n%s\n%s\n" % (_BANNER, name))
     print(text)
     _OUT_DIR.mkdir(exist_ok=True)
@@ -168,5 +169,5 @@ def emit(name: str, text: str) -> None:
     sections[name] = text.strip("\n")
     _write_sections(path, sections)
     with open(_OUT_DIR / ("%s.txt" % name.split(":")[0].strip().lower().replace(" ", "_")),
-              "w", encoding="utf-8") as handle:
+              "a" if append else "w", encoding="utf-8") as handle:
         handle.write(text + "\n")

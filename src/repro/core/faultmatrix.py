@@ -137,7 +137,7 @@ def run_fault_matrix(
     workers: Optional[int] = None,
 ) -> FaultMatrixResult:
     """Replay the probe campaign once per fault scenario, each over
-    ``workers`` workers (default: one per CPU) of
+    ``workers`` workers (default: one per usable CPU) of
     :mod:`repro.core.parallel`, with the same testbed seed."""
     matrix = FaultMatrixResult(seed=seed)
     for label, spec in scenarios:

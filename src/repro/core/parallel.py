@@ -37,7 +37,7 @@ Attribution is pure per entry, so the merge only interleaves the
 workers' attributed queries by timestamp and sums their stats: it
 attributes nothing again.
 
-A campaign keeps every span, probe result and query-log entry for the
+A campaign keeps every probe result and query-log entry for the
 post-flight passes, and none of them is ever part of a reference cycle
 that needs collecting.  So a worker moves every surviving object to the
 collector's permanent generation (``gc.freeze()``) before it pulls each
@@ -62,7 +62,11 @@ unit or a worker that dies without reporting raises :class:`ShardError`
 naming the worker slot (and the unit, when known); no worker outlives
 the call.  Span objects never cross a pipe: whenever obs is on, every
 worker reconciles its spans against its own query log and sends home
-only the verdict.
+only the verdict and a span tally.  So a worker process keeps a span
+only until its unit ends: before it pulls the next unit, it counts the
+unit's finished spans and keeps just the ``dns.exchange`` spans that
+reconciliation reads, bounding its span memory by one unit plus the
+exchanges.  The one in-process worker keeps every span for the dump.
 """
 
 from __future__ import annotations
@@ -188,8 +192,9 @@ class ShardResult:
     stats: AttributionStats = field(default_factory=AttributionStats)
     metrics: Optional[MetricsRegistry] = None
     span_count: int = 0
-    #: The worker's finished spans; emptied before a worker process
-    #: reports, so spans never cross a pipe.
+    #: The in-process worker's finished spans, all of them; a worker
+    #: process's ``dns.exchange`` spans only (the reconcile witness),
+    #: emptied before it reports, so spans never cross a pipe.
     spans: List[Span] = field(default_factory=list)
     #: Per-worker span/query-log reconciliation verdict (None without obs).
     reconciled: Optional[bool] = None
@@ -217,7 +222,10 @@ class MergedCampaign:
 
 
 def default_workers() -> int:
-    """The runner's default worker count: one per CPU."""
+    """The runner's default worker count: one per CPU this process may
+    run on (its affinity mask, where the platform has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -244,15 +252,31 @@ def run_shard(job: ShardJob) -> ShardResult:
     Module-level (importable by name) and argument/return picklable, so
     it is valid under fork and spawn alike.  Called once per worker.
     Every object alive when a unit is pulled is frozen out of the
-    collector's reach until the shard ends (see the module docstring).
+    collector's reach until the shard ends, and in a worker process the
+    previous unit's spans are folded first (see the module docstring).
     """
     obs = Observability() if job.obs_enabled else NULL_OBS
     faults = FaultPlan.parse(job.faults_spec, seed=job.faults_seed) if job.faults_spec else None
     testbed = Testbed(job.universe, seed=job.testbed_seed, obs=obs, faults=faults)
     current: List[WorkUnit] = []
+    # A worker process folds each finished unit's spans into a tally and
+    # keeps only the dns.exchange spans its reconcile reads; the one
+    # in-process worker keeps every span for the runner's dump.
+    finished = obs.tracer.finished
+    folding = _unit_source is not None
+    exchanges: List[Span] = []
+    folded = 0
+
+    def fold() -> None:
+        nonlocal folded
+        folded += len(finished)
+        exchanges.extend([span for span in finished if span.name == "dns.exchange"])
+        finished.clear()
 
     def pulled() -> Iterator[Task]:
         for index in range(len(job.units)) if _unit_source is None else _unit_source:
+            if folding:
+                fold()
             current[:] = [job.units[index]]
             gc.freeze()
             yield from job.units[index].tasks
@@ -268,12 +292,14 @@ def run_shard(job: ShardJob) -> ShardResult:
         index = outcome.index
         result = ShardResult(job.shard.index, list(records), index.queries, index.stats)
         if job.obs_enabled:
+            if folding:
+                fold()
             result.metrics = obs.metrics
-            result.spans = obs.tracer.finished
-            result.span_count = len(result.spans)
+            result.spans = exchanges if folding else finished
+            result.span_count = folded if folding else len(finished)
             from repro.obs.reconcile import reconcile_spans
 
-            verdict = reconcile_spans(obs.tracer.finished, index, testbed.synth_config)
+            verdict = reconcile_spans(result.spans, index, testbed.synth_config)
             result.reconciled = verdict.matched
         return result
     finally:

@@ -18,7 +18,7 @@ and ``notifymx`` share one testbed, the NotifyMX observability artefacts
 are cumulative over both campaigns; see ``OBSERVABILITY.md``.
 
 Every campaign runs on one engine, :mod:`repro.core.parallel`.
-``--workers N`` (default: one per CPU) sets how many workers pull MTA
+``--workers N`` (default: one per usable CPU) sets how many workers pull MTA
 units (probe campaigns) or provider units (NotifyEmail) from its work
 queue; ``--workers 1`` is one in-process worker of the same engine, not
 a separate path.  Each worker attributes its own query log once; the
@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive(int),
         default=default_workers(),
         help="workers pulling campaign units from one work queue "
-        "(default: one per CPU; 1 = one in-process worker)",
+        "(default: one per usable CPU; 1 = one in-process worker)",
     )
     parser.add_argument(
         "--faults",

@@ -286,6 +286,7 @@ class _MtaSession(SmtpSession):
         spf_domain = self.mail_from.domain if self.mail_from else None
 
         dkim_result, dkim_domain = DkimResult.NONE, None
+        dmarc_verdict: Optional[Tuple[str, str]] = None  # (result, From domain) once DMARC ran
         if behavior.validates_dkim:
             dkim_outcome, t = self.mta.run_dkim(message, t, client_ip=self.client_ip)
             dkim_result, dkim_domain = dkim_outcome.result, dkim_outcome.domain
@@ -302,12 +303,15 @@ class _MtaSession(SmtpSession):
                     t,
                     client_ip=self.client_ip,
                 )
+                dmarc_verdict = (dmarc_outcome.result.value, from_domain)
                 if behavior.enforces_dmarc:
                     if dmarc_outcome.disposition is DmarcDisposition.REJECT:
                         return _DMARC_REJECT, t - t_arrival
                     quarantine = dmarc_outcome.disposition is DmarcDisposition.QUARANTINE
 
-        self._stamp_authentication_results(message, spf_result, dkim_result, dkim_domain)
+        self._stamp_authentication_results(
+            message, spf_result, dkim_result, dkim_domain, dmarc_verdict
+        )
         delivery = Delivery(
             message=message,
             mail_from=self.mail_from,
@@ -334,8 +338,11 @@ class _MtaSession(SmtpSession):
             )
         return _ACCEPTED, t - t_arrival
 
-    def _stamp_authentication_results(self, message, spf_result, dkim_result, dkim_domain) -> None:
-        """Prepend the RFC 8601 header recording this MTA's verdicts."""
+    def _stamp_authentication_results(
+        self, message, spf_result, dkim_result, dkim_domain, dmarc_verdict
+    ) -> None:
+        """Prepend the RFC 8601 header recording this session's verdicts;
+        the ``dmarc`` entry is left out when DMARC did not run."""
         from repro.mta.authres import HEADER_NAME, AuthenticationResults
 
         behavior = self.behavior
@@ -352,10 +359,9 @@ class _MtaSession(SmtpSession):
             entry = results.add("dkim", dkim_result.value)
             if dkim_domain:
                 entry.add_property("header", "d", dkim_domain)
-        if behavior.validates_dmarc:
-            dmarc_records = [v for v in self.mta.validations if v.kind == "dmarc"]
-            if dmarc_records:
-                results.add("dmarc", dmarc_records[-1].result, **{"from": dmarc_records[-1].domain})
+        if dmarc_verdict is not None:
+            result, from_domain = dmarc_verdict
+            results.add("dmarc", result, **{"from": from_domain})
         message.prepend_header(HEADER_NAME, results.to_header_value())
 
 

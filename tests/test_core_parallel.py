@@ -41,10 +41,14 @@ from repro.core.preflight import PreflightError
 from repro.core.probe import ProbeClient
 from repro.core.parallel import (
     ShardError,
+    ShardJob,
+    WorkerSlot,
+    default_workers,
     notify_units,
     probe_units,
     run_notify_sharded,
     run_probe_sharded,
+    run_shard,
 )
 from repro.core.querylog import QueryIndex, attribute_queries_with_stats
 from repro.dns.name import Name
@@ -182,6 +186,22 @@ def keygens(monkeypatch):
     campaign_module._seeded_keypair.cache_clear()
     yield calls
     campaign_module._seeded_keypair.cache_clear()  # drop the counted keys
+
+
+class TestDefaultWorkers:
+    """One worker per CPU the process may run on."""
+
+    def test_follows_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert default_workers() == 1
+
+    def test_falls_back_to_the_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert default_workers() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert default_workers() == 1
 
 
 class TestKeypairMemo:
@@ -438,8 +458,11 @@ class TestRealProcesses:
         serial, _, obs = serial_notify
         merged = run_notify_sharded(universe, workers=workers, testbed_seed=3)
         assert_notify_equal(serial, obs, merged)
-        # Spans never cross a pipe: only the workers' tallies come home.
-        assert merged.spans is None and merged.span_count > 0
+        # Spans never cross a pipe: only the workers' tallies come home,
+        # and they count every span a plain run opens, plus one
+        # campaign.run root per extra worker.
+        assert merged.spans is None
+        assert merged.span_count == len(obs.tracer.finished) + workers - 1
         assert not multiprocessing.active_children()
 
     @pytest.mark.parametrize("workers", [2, 3])
@@ -447,7 +470,8 @@ class TestRealProcesses:
         serial, _, obs = serial_probe
         merged = probe_parallel(universe, workers)
         assert_probe_equal(serial, obs, merged)
-        assert merged.spans is None and merged.span_count > 0
+        assert merged.spans is None
+        assert merged.span_count == len(obs.tracer.finished) + workers - 1
         assert not multiprocessing.active_children()
 
     @pytest.mark.parametrize("workers", [2, 3])
@@ -462,6 +486,39 @@ class TestRealProcesses:
         assert merged.reconciled is True
         # Spans never cross a pipe: only the verdicts and tallies do.
         assert merged.spans is None and merged.span_count > 0
+
+
+def probe_job(universe, testids=("t01", "t03")):
+    """The one-slot probe job :func:`run_probe_sharded` would build."""
+    schedule = probe_schedule(universe, testids, seed=5, start_time=1e7)
+    return ShardJob(
+        campaign=parallel_module._PROBE_CAMPAIGN,
+        shard=WorkerSlot(0),
+        universe=universe,
+        units=probe_units(schedule),
+        testbed_seed=3,
+        options={"name": "notifymx", "testids": testids, "start_time": 1e7, "seed": 5},
+    )
+
+
+class TestSpanFold:
+    """A worker process folds each unit's spans at its boundary: it
+    tallies them and keeps only the dns.exchange spans its reconcile
+    reads; the in-process worker keeps every span."""
+
+    def test_worker_process_keeps_only_the_exchanges(self, universe, monkeypatch):
+        job = probe_job(universe)
+        whole = run_shard(job)
+        assert whole.span_count == len(whole.spans) > 0
+        assert {span.name for span in whole.spans} > {"dns.exchange"}
+        # Run the way _worker_main runs it: units pulled from a source.
+        monkeypatch.setattr(parallel_module, "_unit_source", iter(range(len(job.units))))
+        folded = run_shard(job)
+        assert folded.span_count == whole.span_count
+        assert folded.reconciled is True and whole.reconciled is True
+        exchanges = [span for span in whole.spans if span.name == "dns.exchange"]
+        assert exchanges
+        assert list(map(span_key, folded.spans)) == list(map(span_key, exchanges))
 
 
 def span_key(span):

@@ -308,6 +308,23 @@ class TestMessagePipeline:
         assert dmarc.detail.disposition is DmarcDisposition.QUARANTINE
         assert dmarc.detail.spf_aligned is False
 
+    def test_authentication_results_carry_this_sessions_dmarc_verdict(self, world):
+        """A message whose From has no domain never runs DMARC, so its
+        Authentication-Results has no dmarc entry, not the verdict of the
+        message before it."""
+        mta = _mta(world)
+        first = self._signed_message("user@sender.example", "bob@rcpt.example")
+        assert self._deliver(world, first).code == 250
+        second = EmailMessage(
+            [("From", "undisclosed-sender"), ("To", "bob@rcpt.example")], "no domain\r\n"
+        )
+        assert self._deliver(world, second).code == 250
+        assert [v.kind for v in mta.validations].count("dmarc") == 1
+        headers = [d.message.get_header("Authentication-Results") for d in mta.deliveries]
+        assert "dmarc=pass header.from=sender.example" in headers[0]
+        assert "dmarc=" not in headers[1]
+        assert "spf=pass" in headers[1]
+
     def test_acceptance_delay_visible_to_sender(self, world):
         behavior = MtaBehavior(accepts_any_recipient=True, acceptance_delay=30.0)
         _mta(world, behavior)
