@@ -11,9 +11,8 @@ from repro.core import analysis as A
 from repro.core.report import render_histogram
 
 
-def test_figure2_timing_distribution(benchmark, notify_world):
-    _, _, result, _ = notify_world
-    timing = benchmark(A.timing_analysis, result)
+def test_figure2_timing_distribution(benchmark, notifyemail):
+    timing = benchmark(A.timing_analysis, notifyemail.result)
 
     text = render_histogram(
         timing.buckets,

@@ -12,9 +12,8 @@ from repro.core import analysis as A
 from repro.core.report import render_cdf
 
 
-def test_figure5_lookup_limit_cdf(benchmark, notifymx_world):
-    probe = notifymx_world[4]
-    limits = benchmark(A.lookup_limit_analysis, probe)
+def test_figure5_lookup_limit_cdf(benchmark, notifymx):
+    limits = benchmark(A.lookup_limit_analysis, notifymx.result)
 
     # Downsample the CDF for display: one point per distinct query count.
     points = []

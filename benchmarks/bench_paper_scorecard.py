@@ -1,30 +1,21 @@
 """The headline artefact: every paper statistic vs. its measured value.
 
-Combines all three campaigns into one scorecard (see
+Folds the runner's three experiments into one scorecard through
+``repro.core.compare.collect_measurements``, the fold behind the
+``scorecard.txt`` of ``runner --experiment all`` (see
 ``repro.core.compare.PAPER_REFERENCE`` for the bands) and asserts that at
 least 85% of the statistics land inside their tolerance bands — the
 repository's single-number answer to "does the reproduction hold?".
 """
 
 from benchmarks.conftest import emit
-from repro.core.compare import (
-    build_scorecard,
-    collect_notify_measurements,
-    collect_probe_measurements,
-)
+from repro.core.compare import build_scorecard, collect_measurements
 
 
-def test_paper_scorecard(benchmark, notify_world, notifymx_world, twoweek_world):
-    notify_universe, _, notify_result, notify_analysis = notify_world
-    mx_universe, _, _, _, mx_probe = notifymx_world
-    twoweek_universe, _, twoweek_probe = twoweek_world
-
+def test_paper_scorecard(benchmark, experiments):
     def build():
-        measured = {}
-        measured.update(collect_notify_measurements(notify_universe, notify_result, notify_analysis))
-        measured.update(collect_probe_measurements(mx_universe, mx_probe, "NotifyMX"))
-        measured.update(collect_probe_measurements(twoweek_universe, twoweek_probe, "TwoWeekMX"))
-        return build_scorecard(measured)
+        triples = ((name, e.universe, e.result) for name, e in experiments.items())
+        return build_scorecard(collect_measurements(triples))
 
     scorecard = benchmark(build)
     emit("Scorecard: paper vs measured", scorecard.to_table().render())

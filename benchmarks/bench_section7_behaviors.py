@@ -11,9 +11,8 @@ from benchmarks.conftest import emit
 from repro.core import analysis as A
 
 
-def test_section7_behavior_suite(benchmark, notifymx_world):
-    probe = notifymx_world[4]
-    stats = benchmark(A.behavior_stats, probe)
+def test_section7_behavior_suite(benchmark, notifymx):
+    stats = benchmark(A.behavior_stats, notifymx.result)
     table = A.behavior_table(stats)
     emit("Section 7: behaviour statistics", table.render())
 

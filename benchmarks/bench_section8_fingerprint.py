@@ -12,9 +12,8 @@ from benchmarks.conftest import emit
 from repro.core.fingerprint import fingerprint_fleet
 
 
-def test_section8_fingerprints(benchmark, notifymx_world):
-    probe = notifymx_world[4]
-    report = benchmark(fingerprint_fleet, probe)
+def test_section8_fingerprints(benchmark, notifymx):
+    report = benchmark(fingerprint_fleet, notifymx.result)
 
     text = report.to_table().render()
     text += "\nMTAs fingerprinted: %d; too little signal: %d" % (

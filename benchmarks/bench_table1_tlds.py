@@ -9,12 +9,9 @@ from benchmarks.conftest import emit
 from repro.core import analysis as A
 
 
-def test_table1_tld_distribution(benchmark, notify_world, twoweek_world):
-    notify_universe = notify_world[0]
-    twoweek_universe = twoweek_world[0]
-
+def test_table1_tld_distribution(benchmark, notifyemail, twoweekmx):
     table = benchmark(
-        A.tld_table, {"NotifyEmail": notify_universe, "TwoWeekMX": twoweek_universe}
+        A.tld_table, {"NotifyEmail": notifyemail.universe, "TwoWeekMX": twoweekmx.universe}
     )
     emit("Table 1: TLD distribution", table.render())
 

@@ -10,17 +10,12 @@ from benchmarks.conftest import SCALE, emit
 from repro.core import analysis as A
 
 
-def test_table2_dataset_counts(benchmark, notify_world, notifymx_world, twoweek_world):
-    notify_universe, _, notify_result, _ = notify_world
-    mx_universe = notifymx_world[0]
-    mx_probe = notifymx_world[4]
-    twoweek_universe, _, twoweek_probe = twoweek_world
-
+def test_table2_dataset_counts(benchmark, notifyemail, notifymx, twoweekmx):
     def build():
         return [
-            A.notify_email_counts(notify_result),
-            A.probe_counts("NotifyMX", mx_universe, mx_probe),
-            A.probe_counts("TwoWeekMX", twoweek_universe, twoweek_probe),
+            A.notify_email_counts(notifyemail.result),
+            A.probe_counts("NotifyMX", notifymx.universe, notifymx.result),
+            A.probe_counts("TwoWeekMX", twoweekmx.universe, twoweekmx.result),
         ]
 
     counts = benchmark(build)

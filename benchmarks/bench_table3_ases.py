@@ -9,12 +9,9 @@ from benchmarks.conftest import emit
 from repro.core import analysis as A
 
 
-def test_table3_as_distribution(benchmark, notify_world, twoweek_world):
-    notify_universe = notify_world[0]
-    twoweek_universe = twoweek_world[0]
-
+def test_table3_as_distribution(benchmark, notifyemail, twoweekmx):
     table = benchmark(
-        A.as_table, {"NotifyEmail": notify_universe, "TwoWeekMX": twoweek_universe}
+        A.as_table, {"NotifyEmail": notifyemail.universe, "TwoWeekMX": twoweekmx.universe}
     )
     emit("Table 3: AS distribution", table.render())
 

@@ -10,9 +10,8 @@ from benchmarks.conftest import emit
 from repro.core import analysis as A
 
 
-def test_table4_validation_breakdown(benchmark, notify_world):
-    _, _, result, analysis = notify_world
-
+def test_table4_validation_breakdown(benchmark, notify_analysis):
+    analysis = notify_analysis
     table = benchmark(A.validation_breakdown_table, analysis)
     emit("Table 4: validation breakdown", table.render())
 
@@ -35,10 +34,10 @@ def test_table4_validation_breakdown(benchmark, notify_world):
     assert 0.005 < partial / spf_total < 0.08
 
 
-def test_partial_validators_rarely_dkim_free(benchmark, notify_world):
+def test_partial_validators_rarely_dkim_free(benchmark, notify_analysis):
     """Paper s6.1: of the 690 partial validators, only 12% relied on SPF
     exclusively (no DKIM query)."""
-    _, _, _, analysis = notify_world
+    analysis = notify_analysis
     partial = benchmark(analysis.partial_spf_validators)
     if not partial:
         return

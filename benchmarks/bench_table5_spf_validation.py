@@ -9,18 +9,14 @@ from benchmarks.conftest import emit
 from repro.core import analysis as A
 
 
-def test_table5_spf_validation(benchmark, notify_world, notifymx_world, twoweek_world):
-    notify_universe, _, notify_result, notify_analysis = notify_world
-    mx_universe, _, _, mx_analysis, mx_probe = notifymx_world
-    twoweek_universe, _, twoweek_probe = twoweek_world
-
+def test_table5_spf_validation(benchmark, notifyemail, notify_analysis, notifymx, twoweekmx):
     def build():
         rows = [
-            A.notify_email_spf_row(notify_universe, notify_result, notify_analysis),
-            A.probe_spf_row("NotifyMX", mx_universe, mx_probe),
-            A.probe_spf_row("TwoWeekMX (all)", twoweek_universe, twoweek_probe),
+            A.notify_email_spf_row(notifyemail.universe, notifyemail.result, notify_analysis),
+            A.probe_spf_row("NotifyMX", notifymx.universe, notifymx.result),
+            A.probe_spf_row("TwoWeekMX (all)", twoweekmx.universe, twoweekmx.result),
         ]
-        rows += A.decile_rows(twoweek_universe, twoweek_probe)
+        rows += A.decile_rows(twoweekmx.universe, twoweekmx.result)
         return rows
 
     rows = benchmark(build)
@@ -47,11 +43,10 @@ def test_table5_spf_validation(benchmark, notify_world, notifymx_world, twoweek_
     assert stdev < 3.5 * max(1.0, mean / 6.0)
 
 
-def test_section62_consistency(benchmark, notifymx_world):
+def test_section62_consistency(benchmark, notify_analysis, notifymx):
     """Section 6.2: most cross-experiment inconsistency is NotifyEmail-
     validating domains that stay silent for the probe (95% of cases)."""
-    universe, _, _, analysis, probe = notifymx_world
-    stats = benchmark(A.consistency_stats, universe, analysis, probe)
+    stats = benchmark(A.consistency_stats, notifymx.universe, notify_analysis, notifymx.result)
     lines = [
         "common domains:           %d" % stats.common_domains,
         "validating in both:       %d" % stats.both_validating,
@@ -66,11 +61,10 @@ def test_section62_consistency(benchmark, notifymx_world):
     assert stats.notify_only > stats.probe_only
 
 
-def test_section62_rejections(benchmark, notifymx_world):
+def test_section62_rejections(benchmark, notifymx):
     """Section 6.2: 27% of MTAs rejected citing spam, 3% citing a
     blacklist, before DATA."""
-    probe = notifymx_world[4]
-    stats = benchmark(A.rejection_stats, probe)
+    stats = benchmark(A.rejection_stats, notifymx.result)
     total = stats.total_mtas
     text = (
         "MTAs probed:              %d\n"

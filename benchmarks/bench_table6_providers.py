@@ -8,9 +8,8 @@ from benchmarks.conftest import emit
 from repro.core import analysis as A
 
 
-def test_table6_popular_providers(benchmark, notify_world):
-    _, _, _, analysis = notify_world
-    table = benchmark(A.provider_table, analysis)
+def test_table6_popular_providers(benchmark, notify_analysis):
+    table = benchmark(A.provider_table, notify_analysis)
     emit("Table 6: popular providers", table.render())
 
     rows = {row[0]: row[1:] for row in table.rows}

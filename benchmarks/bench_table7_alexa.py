@@ -26,8 +26,8 @@ def _rates(universe, analysis, mechanism):
     }
 
 
-def test_table7_alexa_gradient(benchmark, notify_world):
-    universe, _, _, analysis = notify_world
+def test_table7_alexa_gradient(benchmark, notifyemail, notify_analysis):
+    universe, analysis = notifyemail.universe, notify_analysis
     table = benchmark(A.alexa_table, universe, analysis)
     emit("Table 7: Alexa tiers", table.render())
 

@@ -1,13 +1,17 @@
 """Shared campaign fixtures for the benchmark harness.
 
-Each bench regenerates one of the paper's tables or figures.  The three
-campaigns are expensive, so they run once per session and the benches
-share their output.  Scale is controlled with ``REPRO_BENCH_SCALE``
-(default 0.02 — about 530 NotifyEmail domains and 450 TwoWeekMX domains);
-the paper's absolute counts scale linearly, the percentages should not.
+Each bench regenerates one of the paper's tables or figures from the
+runner's own experiments (:func:`repro.core.runner.run_experiments`, the
+code ``runner --experiment all`` runs, with the same seeds), run once per
+session under ``--no-obs`` and shared by every bench.  Scale and seed are
+controlled with ``REPRO_BENCH_SCALE`` (default 0.02 — about 530
+NotifyEmail domains and 450 TwoWeekMX domains) and ``REPRO_BENCH_SEED``
+(default 2021); the paper's absolute counts scale linearly, the
+percentages should not.
 
 Every bench prints its table (run pytest with ``-s`` to see them inline)
-and rewrites its own section of ``benchmarks/out/report.txt``.
+and rewrites its own section of ``benchmarks/out/report.txt``, and with it
+``benchmarks/out/<bench>.txt``.
 Throughput numbers are additionally collected via :func:`record_bench`
 and appended once per session, stamped with the git revision and CPU
 count, to the history in machine-readable
@@ -20,18 +24,14 @@ import json
 import os
 import pathlib
 import subprocess
-from typing import Dict
+from typing import Dict, NamedTuple
 
 import pytest
 
 from repro.core import analysis as A
-from repro.core.campaign import (
-    NotifyEmailCampaign,
-    ProbeCampaign,
-    Testbed,
-    apply_reputation_effects,
-)
-from repro.core.datasets import DatasetSpec, generate_universe
+from repro.core.datasets import Universe
+from repro.core.runner import build_parser, run_experiments
+from repro.obs import ProgressSink
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.02"))
 SEED = int(os.environ.get("REPRO_BENCH_SEED", "2021"))
@@ -39,35 +39,52 @@ SEED = int(os.environ.get("REPRO_BENCH_SEED", "2021"))
 _OUT_DIR = pathlib.Path(__file__).parent / "out"
 
 
-@pytest.fixture(scope="session")
-def notify_world():
-    """NotifyEmail universe + campaign output."""
-    universe = generate_universe(DatasetSpec.notify_email(scale=SCALE), seed=SEED)
-    testbed = Testbed(universe, seed=SEED + 1)
-    result = NotifyEmailCampaign(testbed).run()
-    analysis = A.analyze_notify(result)
-    return universe, testbed, result, analysis
+class Experiment(NamedTuple):
+    """One runner experiment: the universe it ran on and its campaign result."""
+
+    universe: Universe
+    result: object  # NotifyEmailResult or ProbeCampaignResult
 
 
 @pytest.fixture(scope="session")
-def notifymx_world():
-    """The NotifyEmail universe re-probed with soured reputation."""
-    universe = generate_universe(DatasetSpec.notify_email(scale=SCALE), seed=SEED)
-    testbed = Testbed(universe, seed=SEED + 2)
-    notify_result = NotifyEmailCampaign(testbed).run()
-    notify_analysis = A.analyze_notify(notify_result)
-    apply_reputation_effects(universe, seed=SEED + 3)
-    probe_result = ProbeCampaign(testbed, "NotifyMX", start_time=1e7).run()
-    return universe, testbed, notify_result, notify_analysis, probe_result
+def experiments() -> Dict[str, Experiment]:
+    """``{name: Experiment}`` for NotifyEmail, NotifyMX (cumulative over
+    both notify campaigns, as in the runner) and TwoWeekMX.
+
+    NotifyEmail and NotifyMX share one universe object, and the benches
+    read it only after the whole run, when ``apply_reputation_effects``
+    has soured it for NotifyMX, while the runner writes NotifyEmail before
+    that.  Souring sets only the MTAs' ``behavior.blacklist_rejection``,
+    which NotifyEmail analyses must not read (NotifyEmail ran with a clean
+    reputation); ``tests/test_core_runner.py::TestOneEngine::
+    test_notifyemail_outputs_survive_souring`` holds the runner's
+    NotifyEmail report and card equal to ones computed after souring."""
+    args = build_parser().parse_args(["--scale", str(SCALE), "--seed", str(SEED), "--no-obs"])
+    return {
+        name: Experiment(universe, merged.result)
+        for name, universe, merged in run_experiments(args, ProgressSink(quiet=True))
+    }
 
 
 @pytest.fixture(scope="session")
-def twoweek_world():
-    """TwoWeekMX universe + probe campaign output."""
-    universe = generate_universe(DatasetSpec.two_week_mx(scale=SCALE), seed=SEED + 4)
-    testbed = Testbed(universe, seed=SEED + 5)
-    result = ProbeCampaign(testbed, "TwoWeekMX").run()
-    return universe, testbed, result
+def notifyemail(experiments) -> Experiment:
+    return experiments["notifyemail"]
+
+
+@pytest.fixture(scope="session")
+def notifymx(experiments) -> Experiment:
+    return experiments["notifymx"]
+
+
+@pytest.fixture(scope="session")
+def twoweekmx(experiments) -> Experiment:
+    return experiments["twoweekmx"]
+
+
+@pytest.fixture(scope="session")
+def notify_analysis(notifyemail) -> A.NotifyAnalysis:
+    """The NotifyEmail analysis, as the runner's report computes it."""
+    return A.analyze_notify(notifyemail.result)
 
 
 #: Session-wide collected throughput records (see :func:`record_bench`).
@@ -157,10 +174,17 @@ def _write_sections(path: pathlib.Path, sections: Dict[str, str]) -> None:
     )
 
 
-def emit(name: str, text: str, append: bool = False) -> None:
+def _bench_file(name: str) -> str:
+    """The ``benchmarks/out`` file a report section belongs to: its name up
+    to the first colon, e.g. ``fault overhead: faulted`` -> ``fault_overhead.txt``."""
+    return "%s.txt" % name.split(":")[0].strip().lower().replace(" ", "_")
+
+
+def emit(name: str, text: str) -> None:
     """Print a bench artefact and persist it under benchmarks/out/,
-    replacing this bench's earlier section of ``report.txt``; with
-    ``append``, its ``<bench>.txt`` file is added to, not rewritten."""
+    replacing this bench's earlier section of ``report.txt``, then rebuild
+    its ``<bench>.txt`` from every ``report.txt`` section that belongs to
+    that file, in report order."""
     print("\n%s\n%s\n" % (_BANNER, name))
     print(text)
     _OUT_DIR.mkdir(exist_ok=True)
@@ -168,6 +192,6 @@ def emit(name: str, text: str, append: bool = False) -> None:
     sections = _read_sections(path)
     sections[name] = text.strip("\n")
     _write_sections(path, sections)
-    with open(_OUT_DIR / ("%s.txt" % name.split(":")[0].strip().lower().replace(" ", "_")),
-              "a" if append else "w", encoding="utf-8") as handle:
-        handle.write(text + "\n")
+    bench_file = _bench_file(name)
+    bodies = [body + "\n" for section, body in sections.items() if _bench_file(section) == bench_file]
+    (_OUT_DIR / bench_file).write_text("\n".join(bodies), encoding="utf-8")

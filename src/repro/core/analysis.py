@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core import classify
 from repro.core.campaign import NotifyEmailResult, ProbeCampaignResult
@@ -506,6 +506,7 @@ class Stat:
     numerator: int
     denominator: int
     paper_percent: float
+    key: Optional[str] = None  # the compare.PAPER_REFERENCE statistic it measures, if any
 
     @property
     def percent(self) -> float:
@@ -535,26 +536,14 @@ def behavior_stats(result: ProbeCampaignResult) -> List[Stat]:
             parallel += 1
         elif observation.parallel is False:
             serial += 1
-    stats.append(Stat("serial DNS lookups (t01)", serial, serial + parallel, 97.0))
+    stats.append(Stat("serial DNS lookups (t01)", serial, serial + parallel, 97.0, "serial_lookups"))
 
     # 7.2 lookup limits
     limits = lookup_limit_analysis(result)
-    stats.append(
-        Stat(
-            "halted within 10 lookups (t02)",
-            sum(1 for o in limits.observations if o.halted_within_limit),
-            limits.total,
-            61.0,
-        )
-    )
-    stats.append(
-        Stat(
-            "executed all 46 lookups (t02)",
-            sum(1 for o in limits.observations if o.ran_everything),
-            limits.total,
-            28.0,
-        )
-    )
+    halted = sum(1 for o in limits.observations if o.halted_within_limit)
+    ran_all = sum(1 for o in limits.observations if o.ran_everything)
+    stats.append(Stat("halted within 10 lookups (t02)", halted, limits.total, 61.0, "limit_within10"))
+    stats.append(Stat("executed all 46 lookups (t02)", ran_all, limits.total, 28.0, "limit_all46"))
 
     # 7.3 HELO
     checked = proceeded = validators = 0
@@ -565,13 +554,13 @@ def behavior_stats(result: ProbeCampaignResult) -> List[Stat]:
             checked += 1
             if observation.proceeded_to_mail_domain:
                 proceeded += 1
-    stats.append(Stat("checked HELO policy (t03)", checked, validators, 5.0))
+    stats.append(Stat("checked HELO policy (t03)", checked, validators, 5.0, "helo_checked"))
     stats.append(Stat("ignored HELO verdict (of checkers)", proceeded, checked, 100.0))
 
     # 7.3 syntax errors
-    for testid, label, paper in (
-        ("t04", "continued past syntax error in main policy", 5.5),
-        ("t05", "continued past syntax error in child policy", 12.3),
+    for testid, label, paper, key in (
+        ("t04", "continued past syntax error in main policy", 5.5, "syntax_main"),
+        ("t05", "continued past syntax error in child policy", 12.3, "syntax_child"),
     ):
         validators = continued = 0
         for mtaid in index.mtas_observed(testid):
@@ -581,7 +570,7 @@ def behavior_stats(result: ProbeCampaignResult) -> List[Stat]:
             validators += 1
             if classify.continued_past_error(queries):
                 continued += 1
-        stats.append(Stat("%s (%s)" % (label, testid), continued, validators, paper))
+        stats.append(Stat("%s (%s)" % (label, testid), continued, validators, paper, key))
 
     # 7.3 void lookups
     exceeded = all_five = validators = 0
@@ -592,8 +581,8 @@ def behavior_stats(result: ProbeCampaignResult) -> List[Stat]:
             exceeded += 1
         if count == 5:
             all_five += 1
-    stats.append(Stat("exceeded two void lookups (t06)", exceeded, validators, 97.0))
-    stats.append(Stat("chased all five void names (t06)", all_five, validators, 64.0))
+    stats.append(Stat("exceeded two void lookups (t06)", exceeded, validators, 97.0, "void_exceeded"))
+    stats.append(Stat("chased all five void names (t06)", all_five, validators, 64.0, "void_all_five"))
 
     # 7.3 mx fallback
     fallback = validators = 0
@@ -604,7 +593,7 @@ def behavior_stats(result: ProbeCampaignResult) -> List[Stat]:
         validators += 1
         if verdict:
             fallback += 1
-    stats.append(Stat("illegal A/AAAA fallback after MX (t07)", fallback, validators, 14.0))
+    stats.append(Stat("illegal A/AAAA fallback after MX (t07)", fallback, validators, 14.0, "mx_fallback"))
 
     # 7.3 multiple records
     neither = one = both = 0
@@ -618,9 +607,9 @@ def behavior_stats(result: ProbeCampaignResult) -> List[Stat]:
         else:
             both += 1
     total = neither + one + both
-    stats.append(Stat("ignored both duplicate policies (t08)", neither, total, 77.0))
+    stats.append(Stat("ignored both duplicate policies (t08)", neither, total, 77.0, "multi_neither"))
     stats.append(Stat("followed exactly one duplicate policy (t08)", one, total, 23.0))
-    stats.append(Stat("followed both duplicate policies (t08)", both, total, 0.0))
+    stats.append(Stat("followed both duplicate policies (t08)", both, total, 0.0, "multi_both"))
 
     # 7.3 TCP fallback
     tried = fell_back = 0
@@ -630,7 +619,7 @@ def behavior_stats(result: ProbeCampaignResult) -> List[Stat]:
             tried += 1
             if observation.retried_tcp:
                 fell_back += 1
-    stats.append(Stat("retried truncated response over TCP (t09)", fell_back, tried, 99.9))
+    stats.append(Stat("retried truncated response over TCP (t09)", fell_back, tried, 99.9, "tcp_fallback"))
 
     # 7.3 IPv6
     capable = validators = 0
@@ -642,7 +631,7 @@ def behavior_stats(result: ProbeCampaignResult) -> List[Stat]:
         validators += 1
         if verdict:
             capable += 1
-    stats.append(Stat("retrieved IPv6-only policy (t10)", capable, validators, 49.0))
+    stats.append(Stat("retrieved IPv6-only policy (t10)", capable, validators, 49.0, "ipv6_retrieval"))
 
     # 7.3 MX address limit
     within = all_twenty = validators = 0
@@ -655,8 +644,8 @@ def behavior_stats(result: ProbeCampaignResult) -> List[Stat]:
             within += 1
         if count >= 20:
             all_twenty += 1
-    stats.append(Stat("stopped at <=10 MX address lookups (t11)", within, validators, 7.7))
-    stats.append(Stat("resolved all 20 MX exchanges (t11)", all_twenty, validators, 64.0))
+    stats.append(Stat("stopped at <=10 MX address lookups (t11)", within, validators, 7.7, "mx_limit_within"))
+    stats.append(Stat("resolved all 20 MX exchanges (t11)", all_twenty, validators, 64.0, "mx_limit_all20"))
 
     return stats
 

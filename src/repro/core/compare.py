@@ -3,8 +3,9 @@
 Encodes the paper's published numbers as data (`PAPER_REFERENCE`), collects
 the corresponding measured values from campaign outputs, and renders a
 side-by-side scorecard with per-statistic deviation flags.  This is the
-machine-checkable version of EXPERIMENTS.md: the bench harness asserts
-that the overwhelming majority of statistics land inside their bands.
+machine-checkable version of EXPERIMENTS.md: ``runner --experiment all``
+writes it as ``scorecard.txt``, and the bench harness asserts that the
+overwhelming majority of statistics land inside their bands.
 
 Tolerances are in absolute percentage points and deliberately generous at
 small scale — a 2% universe carries binomial noise the paper's 20-100x
@@ -14,7 +15,7 @@ larger samples did not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core import analysis as A
 from repro.core.campaign import NotifyEmailResult, ProbeCampaignResult
@@ -72,31 +73,23 @@ PAPER_REFERENCE: List[Reference] = [
     Reference("mx_limit_all20", "resolved all 20 MX exchanges", 64.0, 12.0, "7.3"),
 ]
 
-_STAT_LABEL_TO_KEY = {
-    "serial DNS lookups (t01)": "serial_lookups",
-    "halted within 10 lookups (t02)": "limit_within10",
-    "executed all 46 lookups (t02)": "limit_all46",
-    "checked HELO policy (t03)": "helo_checked",
-    "continued past syntax error in main policy (t04)": "syntax_main",
-    "continued past syntax error in child policy (t05)": "syntax_child",
-    "exceeded two void lookups (t06)": "void_exceeded",
-    "chased all five void names (t06)": "void_all_five",
-    "illegal A/AAAA fallback after MX (t07)": "mx_fallback",
-    "ignored both duplicate policies (t08)": "multi_neither",
-    "followed both duplicate policies (t08)": "multi_both",
-    "retried truncated response over TCP (t09)": "tcp_fallback",
-    "retrieved IPv6-only policy (t10)": "ipv6_retrieval",
-    "stopped at <=10 MX address lookups (t11)": "mx_limit_within",
-    "resolved all 20 MX exchanges (t11)": "mx_limit_all20",
-}
+
+def collect_measurements(experiments: Iterable[Tuple[str, Universe, Any]]) -> Dict[str, float]:
+    """Every statistic measured on the runner's experiments, given as the
+    ``(name, universe, campaign result)`` of ``notifyemail``, ``notifymx``
+    and ``twoweekmx``, folded into ``{key: percent}`` for build_scorecard."""
+    measured: Dict[str, float] = {}
+    for name, universe, result in experiments:
+        if name == "notifyemail":
+            measured.update(collect_notify_measurements(universe, result))
+        else:
+            measured.update(collect_probe_measurements(universe, result, name))
+    return measured
 
 
-def collect_notify_measurements(
-    universe: Universe, result: NotifyEmailResult, analysis: Optional[A.NotifyAnalysis] = None
-) -> Dict[str, float]:
+def collect_notify_measurements(universe: Universe, result: NotifyEmailResult) -> Dict[str, float]:
     """Measured values for the Section 6.1/6.2-figure statistics."""
-    if analysis is None:
-        analysis = A.analyze_notify(result)
+    analysis = A.analyze_notify(result)
     measured: Dict[str, float] = {}
     row = A.notify_email_spf_row(universe, result, analysis)
     measured["notify_spf_domains"] = _pct(row.validating_domains, row.total_domains)
@@ -135,10 +128,7 @@ def collect_probe_measurements(
     if prefix == "notifymx":
         measured["reject_spam"] = _pct(rejections.spam, rejections.total_mtas)
         measured["reject_blacklist"] = _pct(rejections.blacklist, rejections.total_mtas)
-        for stat in A.behavior_stats(result):
-            key = _STAT_LABEL_TO_KEY.get(stat.label)
-            if key is not None:
-                measured[key] = stat.percent
+        measured.update((stat.key, stat.percent) for stat in A.behavior_stats(result) if stat.key)
     else:
         measured["invalid_rcpt"] = _pct(rejections.invalid_recipient, rejections.total_mtas)
     return measured

@@ -13,7 +13,9 @@ Artefacts per experiment: ``<name>_report.txt`` (every applicable table),
 via :mod:`repro.core.trace`), ``<name>_tracecheck.txt`` — the post-flight
 differential conformance pass (:mod:`repro.lint.tracecheck`) — and the
 observability pair ``<name>_metrics.txt`` / ``<name>_spans.jsonl``
-(:mod:`repro.obs`; suppressed by ``--no-obs``).  Because ``notifyemail``
+(:mod:`repro.obs`; suppressed by ``--no-obs``).  ``all`` also writes
+``scorecard.txt``, every paper statistic against its measured value
+(:mod:`repro.core.compare`).  Because ``notifyemail``
 and ``notifymx`` share one testbed, the NotifyMX observability artefacts
 are cumulative over both campaigns; see ``OBSERVABILITY.md``.
 
@@ -52,7 +54,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core import analysis as A
 from repro.core import trace
@@ -61,6 +63,7 @@ from repro.core.campaign import (
     ProbeCampaignResult,
     apply_reputation_effects,
 )
+from repro.core.compare import build_scorecard, collect_measurements
 from repro.core.datasets import DatasetSpec, Universe, generate_universe
 from repro.core.fingerprint import fingerprint_fleet
 from repro.core.parallel import (
@@ -142,15 +145,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     args.out.mkdir(parents=True, exist_ok=True)
     sink = ProgressSink(quiet=args.quiet)
-    wanted = EXPERIMENTS if args.experiment == "all" else (args.experiment,)
 
     clean = True
     if args.experiment == "faultmatrix":
         clean &= _run_faultmatrix(args, sink)
-    if "notifyemail" in wanted or "notifymx" in wanted:
-        clean &= _run_notify_family(args, wanted, sink)
-    if "twoweekmx" in wanted:
-        clean &= _run_twoweekmx(args, sink)
+    scored = args.experiment == "all"  # only ``all`` measures every statistic
+    measured: Dict[str, float] = {}
+    for name, universe, merged in run_experiments(args, sink):
+        clean &= _write_experiment(args, name, _SECTIONS[name](universe, merged.result), merged, sink)
+        if scored:
+            measured.update(collect_measurements([(name, universe, merged.result)]))
+        del universe, merged  # release each experiment once written
+    if scored:
+        _write(args.out / "scorecard.txt", [build_scorecard(measured).to_table().render()])
+        sink.say("  -> %s" % (args.out / "scorecard.txt"))
     sink.say("all done in %.1f s -> %s" % (sink.elapsed(), args.out))
     if not clean:
         sink.warn("  !! self-check verdicts failed (see the warnings above); exit status 1")
@@ -224,6 +232,14 @@ def _twoweekmx_sections(universe: Universe, result: ProbeCampaignResult) -> List
     ]
 
 
+#: Each experiment's report builder.
+_SECTIONS = {
+    "notifyemail": _notifyemail_sections,
+    "notifymx": _notifymx_sections,
+    "twoweekmx": _twoweekmx_sections,
+}
+
+
 def _write_experiment(
     args, name: str, sections: List[str], merged: MergedCampaign, sink: ProgressSink
 ) -> bool:
@@ -242,21 +258,35 @@ def _write_experiment(
     return clean
 
 
-def _run_notify_family(args, wanted, sink: ProgressSink) -> bool:
-    """Run the notify experiments; False if any self-check failed."""
+def run_experiments(args, sink: ProgressSink) -> Iterator[Tuple[str, Universe, MergedCampaign]]:
+    """Run the campaign experiments ``args`` selects, in order, yielding
+    each as ``(name, universe, merged campaign)``; the NotifyMX one is
+    cumulative over both notify campaigns.  An experiment is released
+    once the caller moves on from it."""
+    wanted = EXPERIMENTS if args.experiment == "all" else (args.experiment,)
+    if "notifyemail" in wanted or "notifymx" in wanted:
+        yield from _notify_family(args, wanted, sink)
+    if "twoweekmx" in wanted:
+        sink.say("generating TwoWeekMX universe (scale %.3f) ..." % args.scale)
+        universe = generate_universe(DatasetSpec.two_week_mx(scale=args.scale), seed=args.seed + 3)
+        sink.say("running TwoWeekMX probe campaign over %d worker(s) ..." % args.workers)
+        merged = run_probe_sharded(
+            universe, "TwoWeekMX", testbed_seed=args.seed + 4, campaign_seed=args.seed,
+            **_engine_params(args),
+        )
+        yield "twoweekmx", universe, merged
+
+
+def _notify_family(args, wanted, sink: ProgressSink) -> Iterator[Tuple[str, Universe, MergedCampaign]]:
     sink.say("generating NotifyEmail universe (scale %.3f) ..." % args.scale)
     universe = generate_universe(DatasetSpec.notify_email(scale=args.scale), seed=args.seed)
-    clean = True
     notify: Optional[MergedCampaign] = None
 
     if "notifyemail" in wanted:
         sink.say("running NotifyEmail over %d worker(s): one signed notification per domain ..."
                  % args.workers)
         notify = run_notify_sharded(universe, testbed_seed=args.seed + 1, **_engine_params(args))
-        assert isinstance(notify.result, NotifyEmailResult)
-        clean &= _write_experiment(
-            args, "notifyemail", _notifyemail_sections(universe, notify.result), notify, sink
-        )
+        yield "notifyemail", universe, notify
 
     if "notifymx" in wanted:
         sink.say("running NotifyMX over %d worker(s): probing the same MTAs with soured reputation ..."
@@ -272,11 +302,7 @@ def _run_notify_family(args, wanted, sink: ProgressSink) -> bool:
         )
         if notify is not None:
             _accumulate(notify, merged)
-        assert isinstance(merged.result, ProbeCampaignResult)
-        clean &= _write_experiment(
-            args, "notifymx", _notifymx_sections(universe, merged.result), merged, sink
-        )
-    return clean
+        yield "notifymx", universe, merged
 
 
 def _accumulate(notify: MergedCampaign, notifymx: MergedCampaign) -> None:
@@ -296,21 +322,6 @@ def _accumulate(notify: MergedCampaign, notifymx: MergedCampaign) -> None:
             if span.parent_id is not None:
                 span.parent_id += offset
         notifymx.spans = notify.spans + notifymx.spans
-
-
-def _run_twoweekmx(args, sink: ProgressSink) -> bool:
-    """Run TwoWeekMX; False if any self-check failed."""
-    sink.say("generating TwoWeekMX universe (scale %.3f) ..." % args.scale)
-    universe = generate_universe(DatasetSpec.two_week_mx(scale=args.scale), seed=args.seed + 3)
-    sink.say("running TwoWeekMX probe campaign over %d worker(s) ..." % args.workers)
-    merged = run_probe_sharded(
-        universe, "TwoWeekMX", testbed_seed=args.seed + 4, campaign_seed=args.seed,
-        **_engine_params(args),
-    )
-    assert isinstance(merged.result, ProbeCampaignResult)
-    return _write_experiment(
-        args, "twoweekmx", _twoweekmx_sections(universe, merged.result), merged, sink
-    )
 
 
 def _run_faultmatrix(args, sink: ProgressSink) -> bool:

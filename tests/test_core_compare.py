@@ -104,12 +104,13 @@ class TestCollectors:
             assert key in measured
 
     def test_every_behavior_stat_label_mapped(self, worlds):
-        """If behavior_stats gains or renames a stat, the scorecard
-        mapping must keep up."""
+        """Every behaviour statistic that feeds the scorecard names a paper
+        reference, and every s7 reference is fed by exactly one statistic."""
         from repro.core import analysis as A
-        from repro.core.compare import _STAT_LABEL_TO_KEY
 
         _, _, probe = worlds
-        labels = {stat.label for stat in A.behavior_stats(probe)}
-        unmapped = set(_STAT_LABEL_TO_KEY) - labels
-        assert not unmapped, "scorecard maps nonexistent labels: %s" % unmapped
+        keys = [stat.key for stat in A.behavior_stats(probe) if stat.key is not None]
+        unknown = set(keys) - {reference.key for reference in PAPER_REFERENCE}
+        assert not unknown, "statistics feed nonexistent scorecard keys: %s" % unknown
+        section7 = [reference.key for reference in PAPER_REFERENCE if reference.section.startswith("7")]
+        assert sorted(keys) == sorted(section7)

@@ -11,9 +11,10 @@ from repro.core.campaign import (
     Testbed,
     apply_reputation_effects,
 )
+from repro.core.compare import build_scorecard, collect_measurements
 from repro.core.datasets import DatasetSpec, generate_universe
 from repro.core.runner import build_parser, main
-from repro.obs import reconcile
+from repro.obs import ProgressSink, reconcile
 from repro.obs.spans import save_spans
 from repro.core.trace import load_probe_results, load_query_index
 
@@ -61,6 +62,8 @@ class TestRunner:
         # Every observed validator in the trace was actually probed.
         probed = {probe.mtaid for probe in probes}
         assert index.mtas_observed() <= probed
+        # Only ``all`` measures every statistic; a single experiment writes no scorecard.
+        assert not (tmp_path / "scorecard.txt").exists()
 
     def test_notify_family_run(self, tmp_path):
         code = main([
@@ -213,6 +216,13 @@ class TestOneEngine:
     """``--workers 1`` is one in-process worker of the parallel engine."""
 
     SCALE, SEED = 0.003, 2021
+    ALL_ARGV = ["--experiment", "all", "--scale", "0.002", "--seed", "7", "--quiet"]
+
+    @pytest.fixture(scope="class")
+    def all_runs(self, tmp_path_factory):
+        """Where the ``all`` runs of this class write, one directory per
+        worker count, so later tests can read them instead of rerunning."""
+        return tmp_path_factory.mktemp("all-runs")
 
     def test_span_dumps_match_a_direct_library_run(self, tmp_path):
         """Span ids follow execution order, so this fails if the one
@@ -244,7 +254,7 @@ class TestOneEngine:
             assert (out / dump).read_bytes() == (direct / dump).read_bytes(), dump
 
     @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "workers"])
-    def test_attribution_passes_per_experiment(self, tmp_path, monkeypatch, workers):
+    def test_attribution_passes_per_experiment(self, all_runs, monkeypatch, workers):
         """Each worker attributes its query log once, and reconciles its
         spans with a second, independent attribution; the coordinator
         merges attributed queries and attributes nothing, NotifyMX's
@@ -285,10 +295,7 @@ class TestOneEngine:
         monkeypatch.setattr(parallel, "run_shard", run_shard)
         monkeypatch.setattr(runner, "run_notify_sharded", run_notify)
         monkeypatch.setattr(runner, "run_probe_sharded", run_probe)
-        code = main([
-            "--experiment", "all", "--scale", "0.002", "--seed", "7",
-            "--out", str(tmp_path), "--quiet", "--workers", str(workers),
-        ])
+        code = main(self.ALL_ARGV + ["--out", str(all_runs / str(workers)), "--workers", str(workers)])
         assert code == 0
         counts = {}
         for entry in log:
@@ -300,3 +307,37 @@ class TestOneEngine:
         in_process = 2 if workers == 1 else 0
         expected = {"worker": in_process, "coordinator": 0}
         assert counts == {"notifyemail": expected, "notifymx": expected, "twoweekmx": expected}
+
+    def test_scorecard_identical_across_worker_counts(self, all_runs):
+        """``all`` writes ``scorecard.txt``, byte-identical whichever worker
+        count ran it (the attribution test's runs, when it ran first)."""
+        cards = []
+        for workers in (1, 2):
+            out = all_runs / str(workers)
+            if not (out / "scorecard.txt").exists():
+                assert main(self.ALL_ARGV + ["--out", str(out), "--workers", str(workers)]) == 0
+            cards.append((out / "scorecard.txt").read_bytes())
+        assert cards[0] == cards[1]
+        lines = cards[0].decode("utf-8").splitlines()
+        assert lines[0].startswith("Paper-vs-measured scorecard: ")
+        assert lines[0].endswith("/32 statistics within band")
+
+    def test_notifyemail_outputs_survive_souring(self, all_runs):
+        """The benches read every experiment after the whole run, when the
+        universe NotifyEmail shares with NotifyMX has been soured for
+        NotifyMX; the runner writes NotifyEmail before that.  Both must
+        see one world: the NotifyEmail report and the card computed from
+        the finished run equal the ones the runner wrote."""
+        out = all_runs / "1"
+        if not (out / "scorecard.txt").exists():
+            assert main(self.ALL_ARGV + ["--out", str(out), "--workers", "1"]) == 0
+        args = build_parser().parse_args(self.ALL_ARGV + ["--workers", "1", "--no-obs"])
+        experiments = [
+            (name, universe, merged.result)
+            for name, universe, merged in runner.run_experiments(args, ProgressSink(quiet=True))
+        ]
+        _, universe, result = experiments[0]
+        report = "\n\n".join(runner._notifyemail_sections(universe, result)) + "\n"
+        assert report == (out / "notifyemail_report.txt").read_text(encoding="utf-8")
+        card = build_scorecard(collect_measurements(experiments)).to_table().render() + "\n"
+        assert card == (out / "scorecard.txt").read_text(encoding="utf-8")

@@ -91,6 +91,16 @@ class TestModuleDocstrings:
                 assert "repro.%s" % child.name in readme, child.name
 
 
+class TestScorecard:
+    def test_experiments_headline_is_the_committed_card(self):
+        """EXPERIMENTS.md's headline block is the card that
+        ``runner --experiment all`` and the scorecard bench write, verbatim."""
+        experiments = (REPO / "EXPERIMENTS.md").read_text(encoding="utf-8")
+        headline = experiments.split("## Headline scorecard", 1)[1].split("```\n")[1]
+        card = (REPO / "benchmarks" / "out" / "scorecard.txt").read_text(encoding="utf-8")
+        assert headline == card
+
+
 class TestRuleTable:
     def test_readme_rule_table_matches_registry(self):
         readme = (REPO / "README.md").read_text(encoding="utf-8")
